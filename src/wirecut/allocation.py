@@ -1,18 +1,31 @@
 """Optimal integer allocation of a fixed side budget across several wires.
 
 Each wire of length L_i is bent into a regular polygon with n_i sides; the
-n_i are positive integers with n_i >= 3 that must sum to a given budget I.
-The search space is the set of integer compositions of I into parts >= 3,
-which is scanned exhaustively: the continuous first-order conditions are a
-nonlinear system with no closed form, so they are kept only as residual
-diagnostics on the integer winner.
+n_i are integers >= 3 that must sum to a given budget I. The total area
+sum(L_i**2 * g(n_i)), with g(n) = 1/(4 n tan(pi/n)), is separable and
+concave in each n_i, so marginal analysis is exact (Fox 1966): start every
+wire at 3 sides and hand out the rest one at a time, each to the wire whose
+next side adds the most area. That costs O(I log k) instead of a scan of
+all C(I-2k-1, k-1) compositions.
+
+The result keeps the contract of the plain enumeration in the oracle: the
+largest total as computed in floating point and, on equal totals, the
+lexicographically smallest side sequence. Rounding can reorder allocations
+whose exact totals lie within a few ulps of each other, so every allocation
+that close to the greedy cutoff is scored with total_area_for_allocation.
+Where the float totals themselves overflow or underflow (lengths beyond
+about 1e154 or below 1e-154), that check still covers only allocations
+near the exact optimum, not every allocation whose total rounds the same.
+The continuous first-order conditions have no closed form; they are kept
+only as residual diagnostics on the integer winner.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, area
+from .geometry import Shape, _check_positive, area
 
 __all__ = [
     "AllocationProblem",
@@ -24,8 +37,29 @@ __all__ = [
     "stationarity_residual",
 ]
 
-# Largest number of compositions the exhaustive scan will attempt.
-COMPOSITION_LIMIT = 10**8
+# Most sides one wire can receive, I - 3(k-1). Float areas increase strictly
+# with every added side up to this count; past it rounding noise, not the
+# geometry, decides which allocation has the largest float total.
+SIDE_LIMIT = 20_000
+
+# Most near-tie allocations the check may score, the most any scan in this
+# package scores. The near-tie allocations are some of the compositions, so
+# no problem with at most this many compositions is refused. Only many
+# nearly equal wires come near it: k equal wires sharing r sides tie C(k, r)
+# ways.
+CANDIDATE_LIMIT = 10**8
+
+# tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
+_TAN_SERIES = (
+    1 / 3,
+    2 / 15,
+    17 / 315,
+    62 / 2835,
+    1382 / 155925,
+    21844 / 6081075,
+    929569 / 638512875,
+    6404582 / 10854718875,
+)
 
 
 @dataclass(frozen=True)
@@ -36,12 +70,11 @@ class AllocationProblem:
     side_budget: int
 
     def __post_init__(self):
-        lengths = tuple(float(x) for x in self.wire_lengths)
+        lengths = tuple(self.wire_lengths)
         if len(lengths) < 2:
             raise ValueError("an allocation problem needs at least two wires")
         for x in lengths:
-            if not math.isfinite(x) or x <= 0:
-                raise ValueError(f"wire lengths must be positive finite numbers, got {x!r}")
+            _check_positive(x, "wire length")
         budget = self.side_budget
         if isinstance(budget, bool) or not isinstance(budget, int):
             raise ValueError(f"side budget must be an integer, got {budget!r}")
@@ -49,7 +82,7 @@ class AllocationProblem:
             raise InfeasibleBudgetError(
                 f"budget {budget} cannot give {len(lengths)} wires 3 sides each"
             )
-        object.__setattr__(self, "wire_lengths", lengths)
+        object.__setattr__(self, "wire_lengths", tuple(map(float, lengths)))
 
 
 @dataclass(frozen=True)
@@ -85,39 +118,160 @@ def total_area_for_allocation(lengths, sides) -> float:
     return sum(area(Shape(n), x) for n, x in zip(sides, lengths))
 
 
-def _compositions(budget: int, parts: int):
-    """All compositions of budget into `parts` integers >= 3, lexicographically
-    ascending, so the first maximum found is the lexicographically smallest."""
-    if parts == 1:
-        yield (budget,)
-        return
-    for head in range(3, budget - 3 * (parts - 1) + 1):
-        for tail in _compositions(budget - head, parts - 1):
-            yield (head,) + tail
+def _excess(n: int) -> float:
+    """tan(a)/a - 1 with a = pi/n; a unit-perimeter n-gon encloses
+    1/(4 pi (1 + excess)). The series avoids cancellation for small a."""
+    a = math.pi / n
+    if a >= 0.1:
+        return math.tan(a) / a - 1.0
+    s = a * a
+    acc = 0.0
+    for c in reversed(_TAN_SERIES):
+        acc = acc * s + c
+    return acc * s
+
+
+def _gain(weight: float, e_from: float, e_to: float) -> float:
+    """Area added by one more side, from the excesses before and after, in a
+    form free of the cancellation in g(n+1) - g(n)."""
+    return weight * (e_from - e_to) / (4.0 * math.pi * (1.0 + e_from) * (1.0 + e_to))
 
 
 def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
-    """Exhaustive scan of all feasible side assignments; returns the best.
+    """Best side assignment by marginal analysis, with ties settled as the
+    plain enumeration settles them (see the module docstring).
 
-    Ties go to the lexicographically smallest side sequence. Refuses scans
-    beyond COMPOSITION_LIMIT compositions.
+    Raises ResourceLimitError when one wire could get more than SIDE_LIMIT
+    sides, or when more than CANDIDATE_LIMIT allocations tie near the
+    greedy cutoff.
     """
-    wires = len(problem.wire_lengths)
-    if composition_count(wires, problem.side_budget) > COMPOSITION_LIMIT:
+    lengths = problem.wire_lengths
+    wires = len(lengths)
+    budget = problem.side_budget
+    widest = budget - 3 * (wires - 1)
+    if widest > SIDE_LIMIT:
         raise ResourceLimitError(
-            f"{composition_count(wires, problem.side_budget)} compositions "
-            f"exceed the scan limit of {COMPOSITION_LIMIT}"
+            f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
+            "up to which float areas grow with every side"
         )
-    best_sides = None
-    best_total = -math.inf
-    for sides in _compositions(problem.side_budget, wires):
-        total = total_area_for_allocation(problem.wire_lengths, sides)
-        if total > best_total:
-            best_sides = sides
-            best_total = total
-    areas = tuple(area(Shape(n), x) for n, x in zip(best_sides, problem.wire_lengths))
-    residuals = stationarity_residual(problem.wire_lengths, best_sides)
-    return AllocationResult(best_sides, areas, sum(areas), residuals)
+    # Weights relative to the longest wire, so that no gain over- or underflows.
+    longest = max(lengths)
+    weights = [(x / longest) ** 2 for x in lengths]
+    sides = [3] * wires
+    e3, e4 = _excess(3), _excess(4)
+    excess = [e3] * wires
+    heap = [(-_gain(w, e3, e4), i, e4) for i, w in enumerate(weights)]
+    heapq.heapify(heap)
+    worst_accepted = math.inf
+    for _ in range(budget - 3 * wires):
+        neg_gain, i, e_next = heap[0]
+        worst_accepted = min(worst_accepted, -neg_gain)
+        sides[i] += 1
+        excess[i] = e_next
+        e_next = _excess(sides[i] + 1)
+        heapq.heapreplace(heap, (-_gain(weights[i], excess[i], e_next), i, e_next))
+    best_rejected = -heap[0][0]
+
+    # An allocation can tie or beat the greedy one in float only if its exact
+    # total lies below the greedy total by at most the rounding error of two
+    # totals, each under k+6 units in the last place. Every side it takes
+    # away then adds at most that much more than the best rejected side, and
+    # every side it adds at most that much less than the worst accepted side.
+    total = sum(w / (4.0 * math.pi * (1.0 + e)) for w, e in zip(weights, excess))
+    tolerance = (wires + 8) * 2.0**-50 * total
+    # A wire can only take as many sides as the others can give, and back.
+    removable = [_top_run(w, n, best_rejected + tolerance) for w, n in zip(weights, sides)]
+    given = sum(removable)
+    addable = [
+        _next_run(w, n, worst_accepted - tolerance, given - r)
+        for w, n, r in zip(weights, sides, removable)
+    ]
+    taken = sum(addable)
+    moves = [range(-min(r, taken - a), a + 1) for r, a in zip(removable, addable)]
+    best = tuple(sides)
+    if any(len(m) > 1 for m in moves):
+        reach = _reach(moves)
+        candidates = reach[0][0]
+        if candidates > CANDIDATE_LIMIT:
+            raise ResourceLimitError(
+                f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
+            )
+        # Lexicographic order, so the first of equal totals is the one kept.
+        best_total = -math.inf
+        for move in _zero_sum(moves, reach):
+            candidate = tuple(n + d for n, d in zip(sides, move))
+            candidate_total = total_area_for_allocation(lengths, candidate)
+            if candidate_total > best_total:
+                best, best_total = candidate, candidate_total
+    areas = tuple(area(Shape(n), x) for n, x in zip(best, lengths))
+    residuals = stationarity_residual(lengths, best)
+    return AllocationResult(best, areas, sum(areas), residuals)
+
+
+def _reach(moves) -> list:
+    """reach[i] maps each sum that one value from each of moves[i:] can make
+    to the number of ways to make it."""
+    reach = [{0: 1}]
+    for steps in reversed(moves):
+        ways = {}
+        for total, count in reach[-1].items():
+            for d in steps:
+                ways[total + d] = ways.get(total + d, 0) + count
+        reach.append(ways)
+    reach.reverse()
+    return reach
+
+
+def _zero_sum(moves, reach):
+    """Every vector taking one value from each range of moves and summing to
+    zero, in lexicographic order. A value is tried only if the ranges after
+    it can still close the sum, so no dead branch is walked."""
+    last = len(moves) - 1
+    move = [0] * len(moves)
+    need = [0] * len(moves)  # need[i]: the sum moves[i:] must make
+    stack = [iter(moves[0])]
+    while stack:
+        i = len(stack) - 1
+        for d in stack[i]:
+            if need[i] - d in reach[i + 1]:
+                break
+        else:
+            stack.pop()
+            continue
+        move[i] = d
+        if i == last:
+            yield tuple(move)
+        else:
+            need[i + 1] = need[i] - d
+            stack.append(iter(moves[i + 1]))
+
+
+def _top_run(weight: float, n: int, ceiling: float) -> int:
+    """How many of the sides already given, from the n-th down, each added at
+    most ceiling; never counts below 3 sides."""
+    count = 0
+    e_above = _excess(n)
+    while n - count > 3:
+        e_below = _excess(n - count - 1)
+        if _gain(weight, e_below, e_above) > ceiling:
+            break
+        count += 1
+        e_above = e_below
+    return count
+
+
+def _next_run(weight: float, n: int, floor: float, limit: int) -> int:
+    """How many of the next sides, from the (n+1)-th up, would each add at
+    least floor; counts at most limit."""
+    count = 0
+    e_below = _excess(n)
+    while count < limit:
+        e_above = _excess(n + count + 1)
+        if _gain(weight, e_below, e_above) < floor:
+            break
+        count += 1
+        e_below = e_above
+    return count
 
 
 def stationarity_term(side: float, length: float) -> float:

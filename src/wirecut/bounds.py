@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .extrema import PartitionProblem, total_area
-from .geometry import sigma
+from .geometry import _check_positive, sigma
 
 __all__ = [
     "IntervalSet",
@@ -60,12 +60,10 @@ class BoundQuery:
     sense: str
 
     def __post_init__(self):
-        t = self.threshold
-        if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0:
-            raise ValueError(f"threshold must be a positive finite area, got {t!r}")
+        _check_positive(self.threshold, "threshold")
         if self.sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")
-        object.__setattr__(self, "threshold", float(t))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
 
 @dataclass(frozen=True)

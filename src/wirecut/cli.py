@@ -91,14 +91,17 @@ def _parse_shape_list(value) -> tuple:
 
 
 def _parse_number_list(value) -> tuple:
+    """Numbers from a comma-separated flag, or a problem-file list passed on
+    as is, so that the problem constructor rejects non-numbers such as JSON
+    booleans instead of coercing them."""
     if isinstance(value, str):
-        value = [token.strip() for token in value.split(",") if token.strip()]
+        try:
+            value = [float(token) for token in value.split(",") if token.strip()]
+        except ValueError:
+            raise ValueError(f"lengths must be numbers, got {value!r}") from None
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"lengths must be a non-empty list, got {value!r}")
-    try:
-        return tuple(float(token) for token in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"lengths must be numbers, got {value!r}") from None
+    return tuple(value)
 
 
 def _partition_problem(args, expected_mode: str) -> PartitionProblem:
@@ -106,7 +109,7 @@ def _partition_problem(args, expected_mode: str) -> PartitionProblem:
     length = args.length if args.length is not None else data.get("length")
     shapes = args.shapes if args.shapes is not None else data.get("shapes")
     return PartitionProblem(
-        float(_require(length, "--length")),
+        _require(length, "--length"),
         _parse_shape_list(_require(shapes, "--shapes")),
     )
 
@@ -172,10 +175,10 @@ def _cmd_bounds(args) -> int:
     threshold = args.area if args.area is not None else data.get("threshold")
     sense = args.sense if args.sense is not None else data.get("sense")
     problem = PartitionProblem(
-        float(_require(length, "--length")),
+        _require(length, "--length"),
         _parse_shape_list(_require(shapes, "--shapes")),
     )
-    query = BoundQuery(problem, float(_require(threshold, "--area")), _require(sense, "--sense"))
+    query = BoundQuery(problem, _require(threshold, "--area"), _require(sense, "--sense"))
     solver = solve_two_polygon if len(problem.shapes) == 2 else solve_equal_perimeter
     intervals = solver(query)
     roots = threshold_roots(problem, query.threshold)
@@ -296,12 +299,12 @@ def _verify_partition(problem, resolution) -> list:
 
 def _verify_bounds(data) -> list:
     problem = PartitionProblem(
-        float(_require(data.get("length"), "length")),
+        _require(data.get("length"), "length"),
         _parse_shape_list(_require(data.get("shapes"), "shapes")),
     )
     query = BoundQuery(
         problem,
-        float(_require(data.get("threshold"), "threshold")),
+        _require(data.get("threshold"), "threshold"),
         _require(data.get("sense"), "sense"),
     )
     solver = solve_two_polygon if len(problem.shapes) == 2 else solve_equal_perimeter
@@ -365,7 +368,7 @@ def _cmd_verify(args) -> int:
     mode = data.get("mode")
     if mode == "partition":
         problem = PartitionProblem(
-            float(_require(data.get("length"), "length")),
+            _require(data.get("length"), "length"),
             _parse_shape_list(_require(data.get("shapes"), "shapes")),
         )
         checks = _verify_partition(problem, args.resolution)

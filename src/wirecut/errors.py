@@ -10,4 +10,10 @@ class InfeasibleBudgetError(WirecutError):
 
 
 class ResourceLimitError(WirecutError):
-    """Search space exceeds the built-in guard for desk-scale problems."""
+    """A problem exceeds a built-in size guard.
+
+    The oracle refuses scans beyond its sample limit. The allocation optimizer
+    refuses budgets that could give one wire more than 20,000 sides, past
+    which rounding rather than geometry orders the float totals, and more
+    than 10**8 allocations tied near its greedy cutoff.
+    """

@@ -11,7 +11,7 @@ diagnostics; they are minima of the restricted problem, not maxima.
 import math
 from dataclasses import dataclass
 
-from .geometry import Shape, area, parse_shape, sigma
+from .geometry import Shape, _check_positive, area, parse_shape, sigma
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -41,13 +41,11 @@ class PartitionProblem:
     shapes: tuple[Shape, ...]
 
     def __post_init__(self):
-        length = self.total_length
-        if not (isinstance(length, (int, float)) and math.isfinite(length)) or length <= 0:
-            raise ValueError(f"total length must be a positive finite number, got {length!r}")
+        _check_positive(self.total_length, "total length")
         shapes = tuple(parse_shape(s) for s in self.shapes)
         if len(shapes) < 2:
             raise ValueError("a partition problem needs at least two shapes")
-        object.__setattr__(self, "total_length", float(length))
+        object.__setattr__(self, "total_length", float(self.total_length))
         object.__setattr__(self, "shapes", shapes)
 
 

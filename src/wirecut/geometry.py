@@ -110,3 +110,16 @@ def area(shape: Shape, perimeter: float) -> float:
 def _check_perimeter(perimeter):
     if not (isinstance(perimeter, (int, float)) and math.isfinite(perimeter)) or perimeter < 0:
         raise ValueError(f"perimeter must be a finite non-negative number, got {perimeter!r}")
+
+
+def _check_positive(value, what):
+    """Reject anything but a positive finite int or float; bool and str are
+    not numbers here, and an int too large for a float is not finite."""
+    finite = False
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            pass
+    if not finite or value <= 0:
+        raise ValueError(f"{what} must be a positive finite number, got {value!r}")

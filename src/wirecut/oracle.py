@@ -101,14 +101,14 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     """
     wires = len(problem.wire_lengths)
     budget = problem.side_budget
-    if _allocation.composition_count(wires, budget) > _allocation.COMPOSITION_LIMIT:
+    head_range = range(3, budget - 3 * (wires - 1) + 1)
+    tuples = len(head_range) ** (wires - 1)
+    if tuples > _SAMPLE_LIMIT:
         raise ResourceLimitError(
-            f"{_allocation.composition_count(wires, budget)} compositions "
-            f"exceed the scan limit of {_allocation.COMPOSITION_LIMIT}"
+            f"{tuples} side tuples exceed the scan limit of {_SAMPLE_LIMIT}"
         )
     best_sides = None
     best_total = -math.inf
-    head_range = range(3, budget - 3 * (wires - 1) + 1)
     for head in itertools.product(head_range, repeat=wires - 1):
         last = budget - sum(head)
         if last < 3:

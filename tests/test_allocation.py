@@ -1,21 +1,28 @@
-"""Side-budget allocation: exhaustive search and stationarity diagnostics."""
+"""Side-budget allocation: greedy marginal analysis and stationarity diagnostics."""
 
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut import (
     AllocationProblem,
     InfeasibleBudgetError,
     ResourceLimitError,
     composition_count,
+    enumerate_allocations,
     optimize_allocation,
     stationarity_residual,
     stationarity_term,
     total_area_for_allocation,
 )
+
+# Few distinct lengths, two of them one ulp apart, so that exact and
+# near-exact ties between allocations are common.
+LENGTH_POOL = (0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0)
 
 
 def test_total_area_two_squares():
@@ -81,11 +88,89 @@ def test_lengths_validated():
         AllocationProblem((1.0, math.inf), 8)
 
 
+def test_lengths_not_coerced():
+    for bad in (("1", "2"), (True, 2.0), (1.0, False), (1.0, None), (1.0, 10**400)):
+        with pytest.raises(ValueError):
+            AllocationProblem(bad, 9)
+    assert AllocationProblem((1, 2), 9).wire_lengths == (1.0, 2.0)
+
+
 def test_resource_guard():
-    problem = AllocationProblem((1.0,) * 12, 200)
-    assert composition_count(12, 200) > 10**8
+    # Twelve equal wires: 8.6e16 compositions, but greedy needs no scan.
+    assert optimize_allocation(AllocationProblem((1.0,) * 12, 200)).sides.count(17) == 8
+    # The guard is on I - 3(k-1), the most sides one wire can get.
+    assert sum(optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20006)).sides) == 20006
     with pytest.raises(ResourceLimitError):
-        optimize_allocation(problem)
+        optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20007))
+    with pytest.raises(ResourceLimitError):
+        optimize_allocation(AllocationProblem((1.0,) * 8, 100000))
+    # Thirty equal wires sharing fifteen extra sides tie C(30, 15) = 1.6e8
+    # ways, more near-tie allocations than the check may score.
+    with pytest.raises(ResourceLimitError):
+        optimize_allocation(AllocationProblem((1.0,) * 30, 105))
+
+
+def test_equal_wires_score_only_zero_sum_moves():
+    # Seventeen equal wires and one extra side: 17 compositions in all, while
+    # the ranges each wire may move over span 2**17 side vectors.
+    lengths = (1.0,) * 17
+    best_total, best = -math.inf, None
+    for taker in range(17):
+        sides = tuple(4 if i == taker else 3 for i in range(17))
+        total = total_area_for_allocation(lengths, sides)
+        if total > best_total or (total == best_total and sides < best):
+            best_total, best = total, sides
+    result = optimize_allocation(AllocationProblem(lengths, 52))
+    assert result.sides == best
+    assert result.total_area == best_total
+
+
+@st.composite
+def small_problems(draw):
+    wires = draw(st.integers(2, 4))
+    lengths = tuple(draw(st.sampled_from(LENGTH_POOL)) for _ in range(wires))
+    budget = draw(st.integers(3 * wires, 3 * wires + 20))
+    return AllocationProblem(lengths, budget)
+
+
+@given(small_problems())
+@settings(max_examples=100, deadline=None)
+def test_greedy_equals_enumeration(problem):
+    fast = optimize_allocation(problem)
+    slow = enumerate_allocations(problem)
+    assert fast.sides == slow.sides
+    assert fast.total_area == slow.total_area
+
+
+def test_rounding_decides_near_ties():
+    # Exact totals a few ulps apart: only the float totals order these.
+    one_up = math.nextafter(1.0, 2.0)
+    for lengths, budget in (
+        ((one_up, 1.0), 9),
+        ((0.5, one_up, 1.0, 7.3), 35),
+        ((0.03966255784091284, 0.039662557840912833), 20003),
+    ):
+        problem = AllocationProblem(lengths, budget)
+        fast = optimize_allocation(problem)
+        slow = enumerate_allocations(problem)
+        assert fast.sides == slow.sides
+        assert fast.total_area == slow.total_area
+
+
+def test_eight_wires_no_single_move_improves():
+    rng = random.Random(16)
+    unequal = [tuple(rng.uniform(0.5, 3.0) for _ in range(8)) for _ in range(3)]
+    for lengths in [(1.0,) * 8] + unequal:
+        result = optimize_allocation(AllocationProblem(lengths, 60))
+        assert sum(result.sides) == 60
+        assert result.total_area == total_area_for_allocation(lengths, result.sides)
+        for donor, taker in itertools.permutations(range(8), 2):
+            if result.sides[donor] == 3:
+                continue
+            moved = list(result.sides)
+            moved[donor] -= 1
+            moved[taker] += 1
+            assert total_area_for_allocation(lengths, moved) <= result.total_area
 
 
 def test_composition_count_matches_enumeration():

@@ -103,7 +103,7 @@ def test_two_polygon_requires_two_shapes():
 
 def test_query_validation():
     problem = PartitionProblem(12, (4, 3))
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "5"):
         with pytest.raises(ValueError):
             BoundQuery(problem, bad, "lower")
     with pytest.raises(ValueError):

@@ -177,10 +177,42 @@ def test_infeasible_budget_exits_3(capsys):
 
 def test_resource_guard_exits_4(capsys):
     code, _, err = run(
-        capsys, "allocate", "--lengths", ",".join(["1"] * 12), "--budget", "200"
+        capsys, "allocate", "--lengths", ",".join(["1"] * 8), "--budget", "100000"
     )
     assert code == 4
     assert "limit" in err
+
+
+def test_json_booleans_exit_2(capsys, tmp_path):
+    problem_file = tmp_path / "p.json"
+    for data, command in (
+        ({"mode": "allocation", "lengths": [True, 2], "side_budget": 9}, "allocate"),
+        ({"mode": "allocation", "lengths": [1, False], "side_budget": 9}, "verify"),
+        ({"mode": "partition", "length": True, "shapes": [3, 4]}, "min"),
+        ({"mode": "partition", "length": True, "shapes": [3, 4]}, "verify"),
+        ({"mode": "bounds", "length": True, "shapes": [3, 4], "threshold": 1, "sense": "lower"},
+         "bounds"),
+    ):
+        problem_file.write_text(json.dumps(data))
+        code, _, err = run(capsys, command, "--file", str(problem_file))
+        assert code == 2, data
+        assert "True" in err or "False" in err
+
+
+def test_int_too_large_for_float_exits_2(capsys, tmp_path):
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text('{"mode": "partition", "length": 1' + "0" * 400 + ', "shapes": [3, 4]}')
+    code, _, err = run(capsys, "min", "--file", str(problem_file))
+    assert code == 2
+    assert "finite" in err
+
+
+def test_inline_lengths_still_parse(capsys):
+    code, out, _ = run(
+        capsys, "allocate", "--lengths", " 1, 2 ", "--budget", "9", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["problem"]["lengths"] == [1.0, 2.0]
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):

@@ -220,6 +220,9 @@ def test_problem_validation():
         PartitionProblem(5.0, (4,))
     with pytest.raises(ValueError):
         PartitionProblem(5.0, (4, 2))
+    for bad in (True, False, "12", 10**400):
+        with pytest.raises(ValueError):
+            PartitionProblem(bad, (3, 4))
 
 
 def test_total_area_requires_matching_lengths():

@@ -133,3 +133,9 @@ def test_enumerate_all_threes():
 def test_enumerate_resource_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_allocations(AllocationProblem((1.0,) * 12, 200))
+
+
+def test_enumerate_guard_counts_visited_tuples():
+    # 32 M compositions, but the nested loops would visit 37**7 = 9.5e10 tuples.
+    with pytest.raises(ResourceLimitError):
+        enumerate_allocations(AllocationProblem((1.0,) * 8, 60))
