@@ -51,6 +51,7 @@ from .geometry import (
     sigma,
 )
 from .oracle import GridSpec, enumerate_allocations, grid_max, grid_min
+from .verify import Check, cross_check
 
 __version__ = "0.1.0"
 
@@ -59,6 +60,7 @@ __all__ = [
     "AllocationResult",
     "BoundQuery",
     "CIRCLE",
+    "Check",
     "FACE_STATIONARY",
     "FeasibilityRange",
     "GRID_SAMPLE",
@@ -75,6 +77,7 @@ __all__ = [
     "apothem",
     "area",
     "composition_count",
+    "cross_check",
     "enumerate_allocations",
     "face_stationary",
     "feasibility_range",

@@ -279,15 +279,20 @@ def stationarity_term(side: float, length: float) -> float:
 
     With alpha = pi/side, the score is (alpha*length)**2 times
     (alpha/tan(alpha)**2 - 1/tan(alpha) + alpha); side may be fractional but
-    must exceed 2 so that alpha < pi/2.
+    must exceed 2 so that alpha < pi/2. Raises ValueError where the score
+    overflows a float (lengths beyond about 1e154).
     """
-    if not (isinstance(side, (int, float)) and math.isfinite(side)) or side <= 2:
+    _check_positive(side, "side count")
+    if side <= 2:
         raise ValueError(f"side count must exceed 2, got {side!r}")
-    if not (isinstance(length, (int, float)) and math.isfinite(length)) or length <= 0:
-        raise ValueError(f"length must be a positive finite number, got {length!r}")
+    _check_positive(length, "length")
     alpha = math.pi / side
     cot = 1.0 / math.tan(alpha)
-    return (alpha * length) ** 2 * (alpha * cot * cot - cot + alpha)
+    scaled = alpha * length
+    score = scaled * scaled * (alpha * cot * cot - cot + alpha)
+    if not math.isfinite(score):
+        raise ValueError(f"stationarity score of a wire of length {length!r} overflows a float")
+    return score
 
 
 def stationarity_residual(lengths, sides) -> tuple[float, ...]:

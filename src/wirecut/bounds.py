@@ -85,7 +85,8 @@ class FeasibilityRange:
 
 
 def _line_coefficients(problem: PartitionProblem):
-    """Quadratic a*x**2 + b*x + c0 for the total area along the shared line."""
+    """Quadratic a*x**2 + b*x + c0 for the total area along the shared line,
+    with the summed inverse weights of the shared shapes and of the last."""
     k = len(problem.shapes) - 1
     length = problem.total_length
     shared = sum(1.0 / sigma(s) for s in problem.shapes[:-1])
@@ -93,7 +94,7 @@ def _line_coefficients(problem: PartitionProblem):
     a = (shared + k * k * last) / 4.0
     b = -length * k * last / 2.0
     c0 = length * length * last / 4.0
-    return k, a, b, c0
+    return k, a, b, c0, shared, last
 
 
 def shared_perimeter_total(problem: PartitionProblem, x: float) -> float:
@@ -111,9 +112,8 @@ def shared_perimeter_total(problem: PartitionProblem, x: float) -> float:
 def threshold_roots(problem: PartitionProblem, threshold: float):
     """Roots (x_minus, x_plus) of total(x) = threshold, or None if the line
     never reaches the threshold. Roots may fall outside the feasible domain."""
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)) or threshold <= 0:
-        raise ValueError(f"threshold must be a positive finite area, got {threshold!r}")
-    _, a, b, c = _line_coefficients(problem)
+    _check_positive(threshold, "threshold")
+    _, a, b, c, _, _ = _line_coefficients(problem)
     c = c - threshold
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
@@ -135,16 +135,13 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
     a_low <= threshold <= a_high), and x_hat (two-shape problems only) is
     half the width of the upper-sense solution interval.
     """
-    k, a, b, c0 = _line_coefficients(problem)
+    k, a, b, c0, shared, last = _line_coefficients(problem)
     length = problem.total_length
-    shared = sum(1.0 / sigma(s) for s in problem.shapes[:-1])
-    last = 1.0 / sigma(problem.shapes[-1])
     a_low = c0 - b * b / (4.0 * a)
     a_high = c0
     l_low = l_high = x_hat = None
     if threshold is not None:
-        if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)) or threshold <= 0:
-            raise ValueError(f"threshold must be a positive finite area, got {threshold!r}")
+        _check_positive(threshold, "threshold")
         l_low = 2.0 * math.sqrt(threshold / last)
         l_high = 2.0 * math.sqrt(threshold * (shared + k * k * last) / (last * shared))
         if len(problem.shapes) == 2:
@@ -165,7 +162,9 @@ def _clip(lo: float, hi: float, domain_hi: float, floor: float):
     return None
 
 
-def _solve(query: BoundQuery) -> IntervalSet:
+def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
+    """General case: first k shapes share perimeter x, last takes L - k*x.
+    Open intervals within (0, L/k); reduces to solve_two_polygon at k = 1."""
     k = len(query.problem.shapes) - 1
     length = query.problem.total_length
     domain_hi = length / k
@@ -187,10 +186,4 @@ def solve_two_polygon(query: BoundQuery) -> IntervalSet:
     stay under the threshold? Open intervals within (0, L)."""
     if len(query.problem.shapes) != 2:
         raise ValueError("solve_two_polygon expects exactly two shapes")
-    return _solve(query)
-
-
-def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
-    """General case: first k shapes share perimeter x, last takes L - k*x.
-    Open intervals within (0, L/k); reduces to solve_two_polygon at k = 1."""
-    return _solve(query)
+    return solve_equal_perimeter(query)

@@ -97,29 +97,25 @@ def sigma(shape: Shape) -> float:
 
 def apothem(shape: Shape, perimeter: float) -> float:
     """Center-to-side distance at the given perimeter (the radius for a circle)."""
-    _check_perimeter(perimeter)
+    _check_positive(perimeter, "perimeter", allow_zero=True)
     return perimeter / (2.0 * sigma(shape))
 
 
 def area(shape: Shape, perimeter: float) -> float:
     """Enclosed area at the given perimeter; zero perimeter means zero area."""
-    _check_perimeter(perimeter)
+    _check_positive(perimeter, "perimeter", allow_zero=True)
     return perimeter * perimeter / (4.0 * sigma(shape))
 
 
-def _check_perimeter(perimeter):
-    if not (isinstance(perimeter, (int, float)) and math.isfinite(perimeter)) or perimeter < 0:
-        raise ValueError(f"perimeter must be a finite non-negative number, got {perimeter!r}")
-
-
-def _check_positive(value, what):
-    """Reject anything but a positive finite int or float; bool and str are
-    not numbers here, and an int too large for a float is not finite."""
-    finite = False
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _check_positive(value, what, allow_zero=False):
+    """Reject anything but a positive (with allow_zero, non-negative) finite
+    int or float; bool and str are not numbers here, and an int too large
+    for a float is not finite."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
         try:
-            finite = math.isfinite(value)
+            if math.isfinite(value) and (value > 0 or allow_zero and value == 0):
+                return
         except OverflowError:
             pass
-    if not finite or value <= 0:
-        raise ValueError(f"{what} must be a positive finite number, got {value!r}")
+    sign = "non-negative" if allow_zero else "positive"
+    raise ValueError(f"{what} must be a {sign} finite number, got {value!r}")

@@ -1,0 +1,109 @@
+"""Cross-checks of the solvers against the brute-force oracle.
+
+``cross_check`` returns one ``Check`` record per comparison: a partition's
+closed-form minimum and vertex maximum against lattice scans, a bound
+query's intervals against direct samples and its endpoints against the
+threshold, and an allocation against plain enumeration. Tolerances are
+documented in the README's problem-file section.
+"""
+
+from dataclasses import dataclass
+
+from .allocation import AllocationProblem, optimize_allocation
+from .bounds import BoundQuery, shared_perimeter_total, solve_equal_perimeter
+from .extrema import PartitionProblem, maximize_partition, minimize_partition
+from .geometry import sigma
+from .oracle import GridSpec, enumerate_allocations, grid_max, grid_min
+
+__all__ = ["Check", "cross_check"]
+
+# Grid resolutions keyed by shape count: chosen so every scan stays around
+# ten thousand lattice samples.
+_RESOLUTIONS = {2: 2000, 3: 120, 4: 40, 5: 20, 6: 12}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One comparison: what was checked, how far apart the two sides came,
+    the tolerance, and whether the deviation stayed within it."""
+
+    check: str
+    deviation: float
+    bound: float
+    ok: bool
+
+
+def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
+    """Check the solvers' answers to one problem against the oracle.
+
+    resolution sets the lattice steps of a partition scan (at least 2); by
+    default it follows the shape count. Other problems ignore it. Raises
+    ResourceLimitError where the oracle's scan would be too large.
+    """
+    if isinstance(problem, PartitionProblem):
+        return _partition_checks(problem, resolution)
+    if isinstance(problem, BoundQuery):
+        return _bound_checks(problem)
+    if isinstance(problem, AllocationProblem):
+        fast = optimize_allocation(problem)
+        slow = enumerate_allocations(problem)
+        gap = abs(fast.total_area - slow.total_area)
+        same = fast.sides == slow.sides and fast.total_area == slow.total_area
+        return (Check("optimizer vs plain enumeration", gap, 0.0, same),)
+    raise TypeError(f"cannot cross-check a {type(problem).__name__}")
+
+
+def _partition_checks(problem, resolution):
+    if resolution is None:
+        resolution = _RESOLUTIONS.get(len(problem.shapes), 12)
+    grid = GridSpec(resolution)
+    closed_min = minimize_partition(problem)
+    sampled_min = grid_min(problem, grid)
+    min_gap = sampled_min.total_area - closed_min.total_area
+    step = problem.total_length / resolution
+    min_bound = step * step * sum(1.0 / (4.0 * sigma(s)) for s in problem.shapes)
+    closed_max = maximize_partition(problem)
+    sampled_max = grid_max(problem, grid)
+    max_gap = abs(closed_max.total_area - sampled_max.total_area)
+    max_bound = 1e-9 * closed_max.total_area
+    slack = 1e-9 * closed_min.total_area
+    label = f"vs grid (resolution {resolution})"
+    return (
+        Check(f"minimum {label}", min_gap, min_bound, -slack <= min_gap <= min_bound + slack),
+        Check(f"maximum {label}", max_gap, max_bound, max_gap <= max_bound),
+    )
+
+
+def _bound_checks(query):
+    problem = query.problem
+    intervals = solve_equal_perimeter(query)
+    domain_hi = problem.total_length / (len(problem.shapes) - 1)
+    guard = 1e-6 * problem.total_length
+
+    def satisfied(x):
+        total = shared_perimeter_total(problem, x)
+        return total > query.threshold if query.sense == "lower" else total < query.threshold
+
+    violations = 0
+    samples = 200
+    for i in range(1, samples):
+        x = domain_hi * i / samples
+        inside = any(lo + guard < x < hi - guard for lo, hi in intervals.intervals)
+        clear_outside = all(x < lo - guard or x > hi + guard for lo, hi in intervals.intervals)
+        if inside and not satisfied(x):
+            violations += 1
+        elif clear_outside and satisfied(x):
+            violations += 1
+
+    worst_residual = 0.0
+    for lo, hi in intervals.intervals:
+        for edge in (lo, hi):
+            if edge <= guard or edge >= domain_hi - guard:
+                continue
+            residual = abs(shared_perimeter_total(problem, edge) - query.threshold)
+            worst_residual = max(worst_residual, residual / query.threshold)
+    return (
+        Check("interval membership (200 samples)", float(violations), 0.0, violations == 0),
+        Check("endpoint residual (relative)", worst_residual, 1e-6, worst_residual <= 1e-6),
+    )
+

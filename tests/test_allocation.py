@@ -239,8 +239,16 @@ def test_stationarity_term_positive_everywhere():
 def test_stationarity_term_validation():
     with pytest.raises(ValueError):
         stationarity_term(2.0, 1.0)
-    with pytest.raises(ValueError):
-        stationarity_term(4.0, 0.0)
+    for side, length in ((4.0, 0.0), (3, True), (3, 10**400), (10**400, 1.0)):
+        with pytest.raises(ValueError):
+            stationarity_term(side, length)
+
+
+def test_overflowing_stationarity_score_raises_value_error():
+    with pytest.raises(ValueError, match="overflows"):
+        stationarity_term(4, 1e200)
+    with pytest.raises(ValueError, match="overflows"):
+        optimize_allocation(AllocationProblem((1e200, 1.0), 20))
 
 
 def test_residual_zero_for_identical_wires():

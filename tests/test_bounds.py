@@ -108,8 +108,11 @@ def test_query_validation():
             BoundQuery(problem, bad, "lower")
     with pytest.raises(ValueError):
         BoundQuery(problem, 5.0, "between")
-    with pytest.raises(ValueError):
-        threshold_roots(problem, -2.0)
+    for bad in (-2.0, True, 10**400):
+        with pytest.raises(ValueError):
+            threshold_roots(problem, bad)
+        with pytest.raises(ValueError):
+            feasibility_range(problem, bad)
 
 
 def test_feasibility_square_triangle():

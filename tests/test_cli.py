@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from wirecut import cli
 from wirecut.cli import main
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -213,6 +215,68 @@ def test_inline_lengths_still_parse(capsys):
     )
     assert code == 0
     assert json.loads(out)["problem"]["lengths"] == [1.0, 2.0]
+
+
+def test_overflowing_allocation_exits_2(capsys, tmp_path):
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps({"mode": "allocation", "lengths": [1e200, 1], "side_budget": 20}))
+    code, _, err = run(capsys, "allocate", "--file", str(problem_file))
+    assert code == 2
+    assert "overflows" in err
+
+
+def test_json_output_rejects_nan(capsys):
+    argv = ("bounds", "--length", "1e200", "--shapes", "3,4", "--area", "1e300", "--sense", "upper")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "nan" in out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_verify_bad_resolution_exits_2(capsys, resolution):
+    code, _, err = run(
+        capsys,
+        "verify",
+        "--file", str(PROBLEMS / "partition_square_triangle.json"),
+        "--resolution", resolution,
+    )
+    assert code == 2
+    assert "resolution" in err
+
+
+def test_non_numeric_inline_length_exits_2(capsys):
+    code, _, err = run(capsys, "allocate", "--lengths", "1,x", "--budget", "9")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_comma_string_in_file_exits_2(capsys, tmp_path):
+    problem_file = tmp_path / "p.json"
+    for data, command in (
+        ({"mode": "partition", "length": 12, "shapes": "3,4"}, "min"),
+        ({"mode": "partition", "length": 12, "shapes": "3,4"}, "verify"),
+        ({"mode": "allocation", "lengths": "1,2", "side_budget": 9}, "allocate"),
+    ):
+        problem_file.write_text(json.dumps(data))
+        code, _, err = run(capsys, command, "--file", str(problem_file))
+        assert code == 2, data
+        assert "must be a list" in err
+
+
+def test_solvers_and_parser_are_module_globals(capsys, monkeypatch):
+    """perfbench swaps solvers through wirecut.cli's globals and times build_parser."""
+    real = cli.minimize_partition
+    monkeypatch.setattr(
+        cli, "minimize_partition", lambda problem: replace(real(problem), total_area=123.5)
+    )
+    code, out, _ = run(capsys, "min", "--length", "12", "--shapes", "4,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["total_area"] == 123.5
+    assert callable(cli.build_parser)
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):

@@ -119,7 +119,9 @@ def test_shape_rejects_small_or_fractional(bad):
         Shape(bad)
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, "x"])
+@pytest.mark.parametrize(
+    "bad", [-1.0, math.nan, math.inf, "x", True, pytest.param(10**400, id="int-over-float")]
+)
 def test_negative_perimeter_rejected(bad):
     with pytest.raises(ValueError):
         area(Shape(4), bad)

@@ -1,0 +1,22 @@
+"""Library cross-checks: Check records against the brute-force oracle."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from wirecut import Check, cross_check
+from wirecut.cli import _decode
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda path: path.name)
+def test_shipped_problem_files_pass(path):
+    checks = cross_check(_decode(json.loads(path.read_text())))
+    assert checks
+    for check in checks:
+        assert isinstance(check, Check)
+        assert check.ok, check
+        assert check.deviation <= check.bound, check
+
