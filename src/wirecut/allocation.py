@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, _check_positive, area
+from .geometry import Shape, _check_count, _check_positive, area
 
 __all__ = [
     "AllocationProblem",
@@ -76,8 +76,7 @@ class AllocationProblem:
         for x in lengths:
             _check_positive(x, "wire length")
         budget = self.side_budget
-        if isinstance(budget, bool) or not isinstance(budget, int):
-            raise ValueError(f"side budget must be an integer, got {budget!r}")
+        _check_count(budget, "side budget")
         if budget < 3 * len(lengths):
             raise InfeasibleBudgetError(
                 f"budget {budget} cannot give {len(lengths)} wires 3 sides each"
@@ -100,21 +99,12 @@ def composition_count(wires: int, budget: int) -> int:
     return math.comb(budget - 2 * wires - 1, wires - 1)
 
 
-def _check_sides(sides):
-    for n in sides:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"side counts must be integers, got {n!r}")
-        if n < 3:
-            raise ValueError(f"every wire needs at least 3 sides, got {n}")
-
-
 def total_area_for_allocation(lengths, sides) -> float:
     """Total enclosed area when wire i is bent into a regular sides[i]-gon."""
     lengths = tuple(lengths)
     sides = tuple(sides)
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
-    _check_sides(sides)
     return sum(area(Shape(n), x) for n, x in zip(sides, lengths))
 
 

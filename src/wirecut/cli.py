@@ -11,6 +11,8 @@ Only this module reads it: a subcommand lays its inline flags over the
 --file object (or over {"mode": m}) and decodes the result in `_decode`,
 and JSON output echoes the problem through `_encode`. Comma lists such as
 --shapes 4,3 are flag syntax; in a file, shapes and lengths are JSON lists.
+The command table `_COMMANDS` gives each subcommand its mode, handler and
+extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a result
 that JSON cannot represent (NaN, inf), 3 infeasible side budget, 4 resource
@@ -112,9 +114,10 @@ def _read(path: str) -> dict:
     return data
 
 
-def _problem(args, mode: str):
-    """The --file object (or an empty problem of the mode) with the inline
-    flags laid over its fields, decoded."""
+def _problem(args):
+    """The --file object (or an empty problem of the subcommand's mode) with
+    the inline flags laid over its fields, decoded."""
+    mode = args.mode
     data = _read(args.file) if args.file else {"mode": mode}
     if data.get("mode") != mode:
         raise ValueError(f"problem file has mode {data.get('mode')!r}, expected {mode!r}")
@@ -127,14 +130,13 @@ def _problem(args, mode: str):
 
 
 def _emit(args, lines: list, **payload):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print("\n".join(lines))
+    # Serialized for tables too, so that NaN and inf raise ValueError in both formats.
+    text = json.dumps(payload, indent=2 if args.format == "json" else None, allow_nan=False)
+    print(text if args.format == "json" else "\n".join(lines))
 
 
 def _cmd_partition(args) -> int:
-    problem = _problem(args, "partition")
+    problem = _problem(args)
     if args.command == "min":
         result = minimize_partition(problem)
     else:
@@ -151,7 +153,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    query = _problem(args, "bounds")
+    query = _problem(args)
     problem = query.problem
     intervals = solve_equal_perimeter(query)
     roots = threshold_roots(problem, query.threshold)
@@ -176,7 +178,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    problem = _problem(args, "allocation")
+    problem = _problem(args)
     result = optimize_allocation(problem)
     lines = [f"{'wire':>6} {'length':>10} {'sides':>7} {'area':>10}"]
     for i, (length, n, wire_area) in enumerate(
@@ -205,20 +207,30 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _add_format_flag(parser):
-    parser.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output style: human table or machine JSON (default table)",
-    )
-
-
-def _add_partition_flags(parser):
-    parser.add_argument("--file", help="JSON problem file")
-    parser.add_argument("--length", type=float, help="total wire length")
-    parser.add_argument("--shapes", help="comma-separated side counts, e.g. 4,3,circle")
-    _add_format_flag(parser)
+# Each subcommand: the mode whose problem-field flags it takes (verify reads
+# the mode from its file), its handler, its help, and its other flags.
+_COMMANDS = {
+    "min": ("partition", _cmd_partition, "minimum-area partition of the wire", ()),
+    "max": ("partition", _cmd_partition, "maximum-area partition of the wire", ("--paper-face-max",)),
+    "bounds": ("bounds", _cmd_bounds, "where the total area beats or stays under a threshold", ()),
+    "allocate": ("allocation", _cmd_allocate, "best split of a side budget across wires", ()),
+    "verify": (None, _cmd_verify, "cross-check a problem file against the brute-force oracle",
+               ("--resolution",)),
+}
+# The argparse keywords of every flag but --file.
+_FLAGS = {
+    "--length": {"type": float, "help": "total wire length"},
+    "--shapes": {"help": "comma-separated side counts, e.g. 4,3,circle"},
+    "--area": {"type": float, "help": "threshold area"},
+    "--sense": {"choices": ("lower", "upper"), "help": "inequality direction"},
+    "--lengths": {"help": "comma-separated wire lengths, e.g. 1,2"},
+    "--budget": {"type": int, "help": "total number of polygon sides"},
+    "--paper-face-max": {"action": "store_true", "help": "report the best boundary stationary "
+                         "point instead of the true vertex maximum"},
+    "--resolution": {"type": int, "help": "lattice steps for partition checks"},
+    "--format": {"choices": ("table", "json"), "default": "table",
+                 "help": "output style: human table or machine JSON (default table)"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,39 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
         "area-bound intervals, side-budget allocation, and brute-force checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_min = sub.add_parser("min", help="minimum-area partition of the wire")
-    _add_partition_flags(p_min)
-    p_min.set_defaults(handler=_cmd_partition)
-
-    p_max = sub.add_parser("max", help="maximum-area partition of the wire")
-    _add_partition_flags(p_max)
-    p_max.add_argument(
-        "--paper-face-max",
-        action="store_true",
-        help="report the best boundary stationary point instead of the true vertex maximum",
-    )
-    p_max.set_defaults(handler=_cmd_partition)
-
-    p_bounds = sub.add_parser("bounds", help="where the total area beats or stays under a threshold")
-    _add_partition_flags(p_bounds)
-    p_bounds.add_argument("--area", type=float, help="threshold area")
-    p_bounds.add_argument("--sense", choices=("lower", "upper"), help="inequality direction")
-    p_bounds.set_defaults(handler=_cmd_bounds)
-
-    p_alloc = sub.add_parser("allocate", help="best split of a side budget across wires")
-    p_alloc.add_argument("--file", help="JSON problem file")
-    p_alloc.add_argument("--lengths", help="comma-separated wire lengths, e.g. 1,2")
-    p_alloc.add_argument("--budget", type=int, help="total number of polygon sides")
-    _add_format_flag(p_alloc)
-    p_alloc.set_defaults(handler=_cmd_allocate)
-
-    p_verify = sub.add_parser("verify", help="cross-check a problem file against the brute-force oracle")
-    p_verify.add_argument("--file", required=True, help="JSON problem file")
-    p_verify.add_argument("--resolution", type=int, help="lattice steps for partition checks")
-    _add_format_flag(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
+    for command, (mode, handler, text, extra) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        command_parser.add_argument("--file", required=mode is None, help="JSON problem file")
+        for flag in (*_FIELDS.get(mode, {}).values(), *extra, "--format"):
+            command_parser.add_argument(flag, **_FLAGS[flag])
+        command_parser.set_defaults(handler=handler, mode=mode)
     return parser
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["WirecutError", "InfeasibleBudgetError", "ResourceLimitError"]
+
 
 class WirecutError(Exception):
     """Base class for domain errors raised by this package."""

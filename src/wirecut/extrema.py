@@ -11,7 +11,7 @@ diagnostics; they are minima of the restricted problem, not maxima.
 import math
 from dataclasses import dataclass
 
-from .geometry import Shape, _check_positive, area, parse_shape, sigma
+from .geometry import Shape, _check_count, _check_positive, area, parse_shape, sigma
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -113,8 +113,7 @@ def face_stationary(problem: PartitionProblem, excluded_index: int) -> Partition
     face degenerates to the opposite vertex.
     """
     count = len(problem.shapes)
-    if isinstance(excluded_index, bool) or not isinstance(excluded_index, int):
-        raise ValueError(f"excluded index must be an integer, got {excluded_index!r}")
+    _check_count(excluded_index, "excluded index")
     if not 0 <= excluded_index < count:
         raise ValueError(f"excluded index {excluded_index} out of range for {count} shapes")
     weights = [sigma(s) for s in problem.shapes]

@@ -31,8 +31,7 @@ class Shape:
     def __post_init__(self):
         if self.sides is None:
             return
-        if isinstance(self.sides, bool) or not isinstance(self.sides, int):
-            raise ValueError(f"side count must be an integer, got {self.sides!r}")
+        _check_count(self.sides, "side count")
         if self.sides < 3:
             raise ValueError(f"a polygon needs at least 3 sides, got {self.sides}")
 
@@ -67,8 +66,6 @@ def parse_shape(token: "int | float | str | Shape") -> Shape:
                 f"shape must be an integer side count or 'circle', got {token!r}"
             ) from None
         return Shape(sides)
-    if isinstance(token, bool):
-        raise ValueError(f"shape must be an integer side count or 'circle', got {token!r}")
     if isinstance(token, int):
         return Shape(token)
     if isinstance(token, float) and token.is_integer():
@@ -119,3 +116,14 @@ def _check_positive(value, what, allow_zero=False):
             pass
     sign = "non-negative" if allow_zero else "positive"
     raise ValueError(f"{what} must be a {sign} finite number, got {value!r}")
+
+
+def _check_count(value, what):
+    """Reject anything but an int that a float can hold; a bool is not a count."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)
+            return
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be an integer a float can hold, got {value!r}")

@@ -14,11 +14,10 @@ from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult, total_area_for_allocation
 from .errors import ResourceLimitError
 from .extrema import GRID_SAMPLE, PartitionProblem, PartitionResult
-from .geometry import Shape, area
+from .geometry import Shape, _check_count, area
 
 __all__ = [
     "GridSpec",
-    "MAX_GRID_SHAPES",
     "grid_min",
     "grid_max",
     "enumerate_allocations",
@@ -36,9 +35,9 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        r = self.resolution
-        if isinstance(r, bool) or not isinstance(r, int) or r < 2:
-            raise ValueError(f"resolution must be an integer >= 2, got {r!r}")
+        _check_count(self.resolution, "resolution")
+        if self.resolution < 2:
+            raise ValueError(f"resolution must be at least 2, got {self.resolution}")
 
 
 def _lattice(total: int, parts: int):

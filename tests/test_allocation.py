@@ -75,8 +75,9 @@ def test_infeasible_budget_raises():
 
 
 def test_budget_must_be_integer():
-    with pytest.raises(ValueError):
-        AllocationProblem((1.0, 1.0), 8.0)
+    for bad in (8.0, True, 10**400):
+        with pytest.raises(ValueError):
+            AllocationProblem((1.0, 1.0), bad)
 
 
 def test_lengths_validated():

@@ -201,12 +201,17 @@ def test_json_booleans_exit_2(capsys, tmp_path):
         assert "True" in err or "False" in err
 
 
-def test_int_too_large_for_float_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("field", ["length", "shapes"])
+def test_int_too_large_for_float_exits_2(capsys, tmp_path, field):
+    huge = "1" + "0" * 400
+    fields = {"length": "12", "shapes": "[3, 4]"}
+    fields[field] = huge if field == "length" else f"[{huge}, 3]"
     problem_file = tmp_path / "p.json"
-    problem_file.write_text('{"mode": "partition", "length": 1' + "0" * 400 + ', "shapes": [3, 4]}')
+    problem_file.write_text(f'{{"mode": "partition", "length": {fields["length"]}, '
+                            f'"shapes": {fields["shapes"]}}}')
     code, _, err = run(capsys, "min", "--file", str(problem_file))
     assert code == 2
-    assert "finite" in err
+    assert huge in err
 
 
 def test_inline_lengths_still_parse(capsys):
@@ -226,14 +231,15 @@ def test_overflowing_allocation_exits_2(capsys, tmp_path):
 
 
 def test_json_output_rejects_nan(capsys):
-    argv = ("bounds", "--length", "1e200", "--shapes", "3,4", "--area", "1e300", "--sense", "upper")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert "nan" in out
-    code, out, err = run(capsys, *argv, "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "error:" in err
+    for argv in (
+        ("bounds", "--length", "1e200", "--shapes", "3,4", "--area", "1e300", "--sense", "upper"),
+        ("min", "--length", "1e200", "--shapes", "3,4"),
+    ):
+        for output in ("table", "json"):
+            code, out, err = run(capsys, *argv, "--format", output)
+            assert code == 2, (argv, output)
+            assert out == ""
+            assert "error:" in err
 
 
 @pytest.mark.parametrize("resolution", ["0", "1"])
@@ -277,6 +283,23 @@ def test_solvers_and_parser_are_module_globals(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["result"]["total_area"] == 123.5
     assert callable(cli.build_parser)
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--lengths", "1,2", "--budget", "9", "--shapes", "3,4"],
+    ["min", "--length", "12", "--shapes", "4,3", "--budget", "9"],
+    ["min", "--length", "12", "--shapes", "4,3", "--paper-face-max"],
+    ["bounds", "--length", "10", "--shapes", "4,3", "--area", "5", "--sense", "lower",
+     "--resolution", "10"],
+    ["verify", "--file", str(PROBLEMS / "partition_square_triangle.json"), "--length", "12"],
+    ["verify"],
+], ids=["allocate-shapes", "min-budget", "min-paper-face-max", "bounds-resolution",
+        "verify-length", "verify-no-file"])
+def test_foreign_flag_exits_through_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: wirecut" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):

@@ -104,7 +104,7 @@ def test_face_stationary_two_shapes_is_vertex():
 
 def test_face_stationary_rejects_bad_index():
     problem = PartitionProblem(10, (4, 3, CIRCLE))
-    for bad in (-1, 3, 1.0, "1", None):
+    for bad in (-1, 3, 1.0, "1", None, 10**400):
         with pytest.raises(ValueError):
             face_stationary(problem, bad)
 

@@ -113,7 +113,7 @@ def test_parse_shape_rejects(bad):
         parse_shape(bad)
 
 
-@pytest.mark.parametrize("bad", [2, 1, -3, 2.5])
+@pytest.mark.parametrize("bad", [2, 1, -3, 2.5, pytest.param(10**400, id="int-over-float")])
 def test_shape_rejects_small_or_fractional(bad):
     with pytest.raises(ValueError):
         Shape(bad)

@@ -27,7 +27,7 @@ def lattice_error_bound(problem, resolution):
 
 
 def test_grid_spec_validation():
-    for bad in (1, 0, -2, 2.5, True):
+    for bad in (1, 0, -2, 2.5, True, 10**400):
         with pytest.raises(ValueError):
             GridSpec(bad)
 
