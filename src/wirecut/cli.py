@@ -13,6 +13,7 @@ and JSON output echoes the problem through `_encode`. Comma lists such as
 --shapes 4,3 are flag syntax; in a file, shapes and lengths are JSON lists.
 The command table `_COMMANDS` gives each subcommand its mode, handler and
 extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
+`main` builds the parser on its first call and reuses it for the process.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a result
 that JSON cannot represent (NaN, inf), 3 infeasible side budget, 4 resource
@@ -22,7 +23,6 @@ guard tripped.
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .allocation import AllocationProblem, optimize_allocation
 from .bounds import BoundQuery, feasibility_range, solve_equal_perimeter, threshold_roots
@@ -131,7 +131,11 @@ def _problem(args):
 
 def _emit(args, lines: list, **payload):
     # Serialized for tables too, so that NaN and inf raise ValueError in both formats.
-    text = json.dumps(payload, indent=2 if args.format == "json" else None, allow_nan=False)
+    try:
+        text = json.dumps(payload, indent=2 if args.format == "json" else None, allow_nan=False)
+    except ValueError:
+        raise ValueError("result is not a finite number "
+                         "(lengths or areas beyond the float range)") from None
     print(text if args.format == "json" else "\n".join(lines))
 
 
@@ -148,7 +152,7 @@ def _cmd_partition(args) -> int:
     for shape, length, shape_area in zip(problem.shapes, result.lengths, result.per_shape_areas):
         lines.append(f"{str(shape):>8} {_fmt(length):>10} {_fmt(shape_area):>10}")
     lines.append(f"{'total':>8} {_fmt(sum(result.lengths)):>10} {_fmt(result.total_area):>10}")
-    _emit(args, lines, command=args.command, problem=_encode(problem), result=asdict(result))
+    _emit(args, lines, command=args.command, problem=_encode(problem), result=vars(result))
     return EXIT_OK
 
 
@@ -172,7 +176,7 @@ def _cmd_bounds(args) -> int:
             else "empty"
         ),
     ]
-    result = {"domain": (0.0, domain_hi), "roots": roots, **asdict(intervals), **asdict(band)}
+    result = {"domain": (0.0, domain_hi), "roots": roots, **vars(intervals), **vars(band)}
     _emit(args, lines, command="bounds", problem=_encode(query), result=result)
     return EXIT_OK
 
@@ -189,7 +193,7 @@ def _cmd_allocate(args) -> int:
     lines.append(
         "residuals " + (" ".join(_fmt(r) for r in result.residuals) if result.residuals else "-")
     )
-    _emit(args, lines, command="allocate", problem=_encode(problem), result=asdict(result))
+    _emit(args, lines, command="allocate", problem=_encode(problem), result=vars(result))
     return EXIT_OK
 
 
@@ -202,7 +206,7 @@ def _cmd_verify(args) -> int:
         for item in checks
     ]
     lines.append("verification " + ("passed" if all_ok else "FAILED"))
-    checks = [asdict(item) for item in checks]
+    checks = [vars(item) for item in checks]
     _emit(args, lines, command="verify", file=args.file, checks=checks, ok=all_ok)
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
@@ -249,9 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first `main` call rather than at import, which stays cheap;
+# argparse keeps no state between parse_args calls.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except (InfeasibleBudgetError, ResourceLimitError, ValueError) as exc:

@@ -37,20 +37,24 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     """Check the solvers' answers to one problem against the oracle.
 
     resolution sets the lattice steps of a partition scan (at least 2); by
-    default it follows the shape count. Other problems ignore it. Raises
-    ResourceLimitError where the oracle's scan would be too large.
+    default it follows the shape count. Other problems take no resolution
+    and raise ValueError when given one. Raises ResourceLimitError where the
+    oracle's scan would be too large.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)
+    if not isinstance(problem, (BoundQuery, AllocationProblem)):
+        raise TypeError(f"cannot cross-check a {type(problem).__name__}")
+    if resolution is not None:
+        raise ValueError(f"resolution applies only to partition problems, "
+                         f"not to {type(problem).__name__}")
     if isinstance(problem, BoundQuery):
         return _bound_checks(problem)
-    if isinstance(problem, AllocationProblem):
-        fast = optimize_allocation(problem)
-        slow = enumerate_allocations(problem)
-        gap = abs(fast.total_area - slow.total_area)
-        same = fast.sides == slow.sides and fast.total_area == slow.total_area
-        return (Check("optimizer vs plain enumeration", gap, 0.0, same),)
-    raise TypeError(f"cannot cross-check a {type(problem).__name__}")
+    fast = optimize_allocation(problem)
+    slow = enumerate_allocations(problem)
+    gap = abs(fast.total_area - slow.total_area)
+    same = fast.sides == slow.sides and fast.total_area == slow.total_area
+    return (Check("optimizer vs plain enumeration", gap, 0.0, same),)
 
 
 def _partition_checks(problem, resolution):

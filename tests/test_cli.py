@@ -239,7 +239,8 @@ def test_json_output_rejects_nan(capsys):
             code, out, err = run(capsys, *argv, "--format", output)
             assert code == 2, (argv, output)
             assert out == ""
-            assert "error:" in err
+            assert "error: result is not a finite number" in err
+            assert "beyond the float range" in err
 
 
 @pytest.mark.parametrize("resolution", ["0", "1"])
@@ -251,6 +252,14 @@ def test_verify_bad_resolution_exits_2(capsys, resolution):
         "--resolution", resolution,
     )
     assert code == 2
+    assert "resolution" in err
+
+
+@pytest.mark.parametrize("name", ["bounds_three_shapes.json", "allocation_two_wires.json"])
+def test_verify_resolution_on_non_partition_file_exits_2(capsys, name):
+    code, out, err = run(capsys, "verify", "--file", str(PROBLEMS / name), "--resolution", "3")
+    assert code == 2
+    assert out == ""
     assert "resolution" in err
 
 
@@ -283,6 +292,47 @@ def test_solvers_and_parser_are_module_globals(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["result"]["total_area"] == 123.5
     assert callable(cli.build_parser)
+
+
+def test_parser_reuse_keeps_no_state_between_calls(capsys):
+    code, out, _ = run(
+        capsys, "max", "--length", "12", "--shapes", "4,3", "--paper-face-max", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["kind"] == "face-stationary"
+    code, out, _ = run(capsys, "max", "--length", "12", "--shapes", "4,3")
+    assert code == 0
+    assert "vertex-maximum" in out and not out.startswith("{")
+
+    code, out, _ = run(capsys, "verify", "--file", str(PROBLEMS / "allocation_two_wires.json"))
+    assert code == 0
+    code, out, _ = run(capsys, "min", "--length", "12", "--shapes", "4,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["problem"] == {"mode": "partition", "length": 12.0, "shapes": [4, 3]}
+
+    with pytest.raises(SystemExit) as exc:
+        main(["min", "--length", "12", "--shapes", "4,3", "--budget", "9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "min", "--length", "12", "--shapes", "4,3")
+    assert code == 0
+    assert "3.915" in out and err == ""
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(3):
+        code, _, _ = run(capsys, "min", "--length", "12", "--shapes", "4,3")
+        assert code == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,3 +20,9 @@ def test_shipped_problem_files_pass(path):
         assert check.ok, check
         assert check.deviation <= check.bound, check
 
+
+@pytest.mark.parametrize("name", ["bounds_three_shapes.json", "allocation_two_wires.json"])
+def test_resolution_rejected_for_non_partition_problems(name):
+    problem = _decode(json.loads((PROBLEMS / name).read_text()))
+    with pytest.raises(ValueError, match="resolution"):
+        cross_check(problem, resolution=3)
