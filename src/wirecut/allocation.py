@@ -30,7 +30,6 @@ from .geometry import Shape, _check_count, _check_positive, area
 __all__ = [
     "AllocationProblem",
     "AllocationResult",
-    "composition_count",
     "total_area_for_allocation",
     "optimize_allocation",
     "stationarity_term",
@@ -92,11 +91,6 @@ class AllocationResult:
     per_wire_areas: tuple[float, ...]
     total_area: float
     residuals: tuple[float, ...]
-
-
-def composition_count(wires: int, budget: int) -> int:
-    """Number of ways to write budget as an ordered sum of `wires` parts >= 3."""
-    return math.comb(budget - 2 * wires - 1, wires - 1)
 
 
 def total_area_for_allocation(lengths, sides) -> float:

@@ -1,14 +1,19 @@
 """Deliberately naive brute-force references for the closed-form solvers.
 
-The partition oracles scan a uniform lattice over the simplex of piece
-lengths; the allocation oracle enumerates side assignments with plain
-nested loops via itertools.product. Nothing here shares logic with the
-closed forms beyond the area kernel itself, so agreement is evidence.
+The partition oracles score every sample of a uniform lattice over the
+simplex of piece lengths, in lexicographic order, keeping the first best.
+They evaluate the area kernel once per distinct shape and lattice step
+(at most k*(res+1) calls, not one per shape and sample) and add each
+sample's areas left to right. A two-shape lattice is one run of samples,
+streamed without tables. The allocation oracle enumerates side assignments
+with plain nested loops via itertools.product. Nothing here shares logic
+with the closed forms beyond the area kernel itself, so agreement is evidence.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import count, product, repeat, tee
+from operator import add, itemgetter, mul, truediv
 
 from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult, total_area_for_allocation
@@ -40,46 +45,71 @@ class GridSpec:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
 
 
-def _lattice(total: int, parts: int):
-    """All non-negative integer compositions of total into `parts` parts.
+def _steps(length: float, resolution: int, descending: bool = False):
+    """Piece lengths length*(c/resolution) for c = 0..resolution, lazily."""
+    counts = range(resolution, -1, -1) if descending else range(resolution + 1)
+    return map(mul, repeat(length), map(truediv, counts, repeat(resolution)))
 
-    Covers every simplex vertex and edge exactly, so endpoint extrema are
-    always sampled.
+
+def _runs(tables, prefix, left, heads, pick):
+    """Yield (total, counts) for the first best sample of each run, in
+    lexicographic order.
+
+    A run fixes the counts of all parts but the last two and holds the
+    samples (*head, j, left-j) for j = 0..left. It is scored in one pass over
+    the last two tables, and ``pick`` and ``list.index`` take its first
+    extremum. `heads` are the counts fixed so far, `prefix` their areas
+    added left to right, and `left` the steps still to hand out.
     """
-    if parts == 1:
-        yield (total,)
+    table, *rest = tables
+    if len(rest) > 2:
+        for c in range(left + 1):
+            yield from _runs(rest, prefix + table[c], left - c, heads + (c,), pick)
         return
-    for head in range(total + 1):
-        for tail in _lattice(total - head, parts - 1):
-            yield (head,) + tail
+    firsts, seconds = rest
+    for c in range(left + 1):
+        run_prefix = prefix + table[c]
+        run_left = left - c
+        totals = [run_prefix + a + b for a, b in zip(firsts, seconds[run_left::-1])]
+        best = pick(totals)
+        j = totals.index(best)
+        yield best, heads + (c, j, run_left - j)
 
 
 def _scan(problem: PartitionProblem, grid: GridSpec, want_max: bool) -> PartitionResult:
     shapes = problem.shapes
-    count = len(shapes)
-    if count > MAX_GRID_SHAPES:
+    parts = len(shapes)
+    if parts > MAX_GRID_SHAPES:
         raise ResourceLimitError(
-            f"grid scan supports at most {MAX_GRID_SHAPES} shapes, got {count}"
+            f"grid scan supports at most {MAX_GRID_SHAPES} shapes, got {parts}"
         )
-    samples = math.comb(grid.resolution + count - 1, count - 1)
+    samples = math.comb(grid.resolution + parts - 1, parts - 1)
     if samples > _SAMPLE_LIMIT:
         raise ResourceLimitError(
             f"{samples} lattice samples exceed the scan limit of {_SAMPLE_LIMIT}"
         )
     length = problem.total_length
     resolution = grid.resolution
-    best_lengths = None
-    best_areas = None
-    best_total = -math.inf if want_max else math.inf
-    for counts in _lattice(resolution, count):
-        lengths = tuple(length * (c / resolution) for c in counts)
-        areas = tuple(area(s, x) for s, x in zip(shapes, lengths))
-        total = sum(areas)
-        if (total > best_total) if want_max else (total < best_total):
-            best_lengths = lengths
-            best_areas = areas
-            best_total = total
-    return PartitionResult(GRID_SAMPLE, best_lengths, best_areas, best_total)
+    pick = max if want_max else min
+    if parts == 2:
+        # A single run whose areas are each used once: stream it.
+        firsts, first_areas = tee(map(area, repeat(shapes[0]), _steps(length, resolution)))
+        seconds, second_areas = tee(
+            map(area, repeat(shapes[1]), _steps(length, resolution, descending=True))
+        )
+        stream = zip(map(add, firsts, seconds), count(), first_areas, second_areas)
+        total, j, *areas = pick(stream, key=itemgetter(0))
+        counts = (j, resolution - j)
+    else:
+        steps = list(_steps(length, resolution))
+        distinct = {s: list(map(area, repeat(s), steps)) for s in dict.fromkeys(shapes)}
+        tables = [distinct[s] for s in shapes]
+        total, counts = pick(_runs(tables, 0, resolution, (), pick), key=itemgetter(0))
+        areas = [table[c] for table, c in zip(tables, counts)]
+    if not math.isfinite(total):
+        raise ValueError("lattice totals are not finite (lengths beyond the float range)")
+    lengths = tuple(length * (c / resolution) for c in counts)
+    return PartitionResult(GRID_SAMPLE, lengths, tuple(areas), total)
 
 
 def grid_min(problem: PartitionProblem, grid: GridSpec) -> PartitionResult:
@@ -108,7 +138,7 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
         )
     best_sides = None
     best_total = -math.inf
-    for head in itertools.product(head_range, repeat=wires - 1):
+    for head in product(head_range, repeat=wires - 1):
         last = budget - sum(head)
         if last < 3:
             continue

@@ -12,7 +12,6 @@ from wirecut import (
     AllocationProblem,
     InfeasibleBudgetError,
     ResourceLimitError,
-    composition_count,
     enumerate_allocations,
     optimize_allocation,
     stationarity_residual,
@@ -172,16 +171,6 @@ def test_eight_wires_no_single_move_improves():
             moved[donor] -= 1
             moved[taker] += 1
             assert total_area_for_allocation(lengths, moved) <= result.total_area
-
-
-def test_composition_count_matches_enumeration():
-    for wires, budget in ((2, 8), (3, 12), (4, 16)):
-        direct = sum(
-            1
-            for sides in itertools.product(range(3, budget + 1), repeat=wires)
-            if sum(sides) == budget
-        )
-        assert composition_count(wires, budget) == direct
 
 
 def test_budget_monotonicity():

@@ -263,6 +263,16 @@ def test_verify_resolution_on_non_partition_file_exits_2(capsys, name):
     assert "resolution" in err
 
 
+def test_verify_non_finite_lattice_exits_2(capsys, tmp_path):
+    problem_file = tmp_path / "huge.json"
+    problem_file.write_text(json.dumps({"mode": "partition", "length": 1e200, "shapes": [3, 4]}))
+    for output in ("table", "json"):
+        code, out, err = run(capsys, "verify", "--file", str(problem_file), "--format", output)
+        assert code == 2
+        assert out == ""
+        assert "error: lattice totals are not finite" in err
+
+
 def test_non_numeric_inline_length_exits_2(capsys):
     code, _, err = run(capsys, "allocate", "--lengths", "1,x", "--budget", "9")
     assert code == 2

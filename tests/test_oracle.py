@@ -2,8 +2,13 @@
 
 import math
 import random
+import tracemalloc
+from functools import reduce
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut import (
     AllocationProblem,
@@ -17,6 +22,8 @@ from wirecut import (
     optimize_allocation,
     sigma,
 )
+from wirecut import oracle
+from wirecut.geometry import area, parse_shape
 
 SHAPE_POOL = list(range(3, 13)) + ["circle"]
 
@@ -139,3 +146,102 @@ def test_enumerate_guard_counts_visited_tuples():
     # 32 M compositions, but the nested loops would visit 37**7 = 9.5e10 tuples.
     with pytest.raises(ResourceLimitError):
         enumerate_allocations(AllocationProblem((1.0,) * 8, 60))
+
+
+def _lattice(total, parts):
+    """Every composition of total into `parts` non-negative parts, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _lattice(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def reference_scan(problem, resolution, want_max):
+    """One sample at a time: the first sample strictly better than all
+    before it wins, its total its areas added left to right (what sum()
+    does with floats before Python 3.12, which compensates)."""
+    length = problem.total_length
+    best = (None, None, -math.inf if want_max else math.inf)
+    for counts in _lattice(resolution, len(problem.shapes)):
+        lengths = tuple(length * (c / resolution) for c in counts)
+        areas = tuple(area(s, x) for s, x in zip(problem.shapes, lengths))
+        total = reduce(add, areas)
+        if (total > best[2]) if want_max else (total < best[2]):
+            best = (lengths, areas, total)
+    return best
+
+
+# Resolutions keep each example to a few thousand samples.
+_MAX_RESOLUTION = {2: 300, 3: 40, 4: 14, 5: 9, 6: 7}
+
+
+@st.composite
+def lattice_scans(draw):
+    parts = draw(st.integers(2, 6))
+    # A small pool makes repeated shapes, and with them exact ties, common.
+    pool = draw(st.sampled_from([(3, 4, "circle", 10**6), (4,), (5, 5, "circle")]))
+    shapes = tuple(draw(st.sampled_from(pool)) for _ in range(parts))
+    length = draw(st.one_of(
+        st.sampled_from([1.0, 4.0, 12.0, 1e-150, 1e150]),
+        st.floats(min_value=1e-3, max_value=1e3),
+    ))
+    resolution = draw(st.integers(2, _MAX_RESOLUTION[parts]))
+    return PartitionProblem(length, shapes), resolution
+
+
+@given(lattice_scans())
+@settings(max_examples=150, deadline=None)
+def test_scans_match_per_sample_reference(scan):
+    problem, resolution = scan
+    for scanner, want_max in ((grid_min, False), (grid_max, True)):
+        result = scanner(problem, GridSpec(resolution))
+        expected = reference_scan(problem, resolution, want_max)
+        assert (result.lengths, result.per_shape_areas, result.total_area) == expected
+
+
+@pytest.mark.parametrize("shapes, resolution", [
+    ((4, 3), 500),
+    ((3, 6, "circle"), 60),
+    ((5, 5, 5), 30),
+    ((3, 4, 6, 8, 12, "circle"), 12),
+])
+def test_scan_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution):
+    calls = []
+
+    def counted(shape, perimeter):
+        calls.append(shape)
+        return area(shape, perimeter)
+
+    monkeypatch.setattr(oracle, "area", counted)
+    problem = PartitionProblem(9.0, shapes)
+    for scanner in (grid_min, grid_max):
+        calls.clear()
+        scanner(problem, GridSpec(resolution))
+        assert 0 < len(calls) <= len(shapes) * (resolution + 1)
+        assert set(calls) == {parse_shape(s) for s in shapes}
+
+
+def test_two_shape_scan_streams():
+    problem = PartitionProblem(12.0, (4, 3))
+    tracemalloc.start()
+    try:
+        grid_min(problem, GridSpec(200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_non_finite_lattice_raises():
+    problem = PartitionProblem(1e200, (3, 4))
+    for scanner in (grid_min, grid_max):
+        with pytest.raises(ValueError, match="lattice totals are not finite"):
+            scanner(problem, GridSpec(4))
+    # Some totals overflow: the minimum is still a finite sample, the maximum is not.
+    edge = PartitionProblem(1.5e154, (3, 4, 5))
+    assert math.isfinite(grid_min(edge, GridSpec(4)).total_area)
+    with pytest.raises(ValueError, match="lattice totals are not finite"):
+        grid_max(edge, GridSpec(4))
