@@ -7,9 +7,16 @@ area is then an upward-opening quadratic in x, so "total > A" and
 "total < A" have solution sets that are unions of at most two open
 intervals inside the feasible domain (0, L/k).
 
-The quadratic is solved directly and its sign regions are intersected with
-the feasible domain; that handles every threshold uniformly, including
-thresholds below the constrained minimum or above the domain supremum.
+Every answer is read off one scale-free line: the quadratic in u = x/L
+with areas in units of L**2, which depends only on the shapes. Roots, the
+intervals and x_hat solve it at A/L**2 and scale back by L (for A > L**2,
+far above the band, the unit is sqrt(A) instead, so that the ratio cannot
+overflow); the threshold band scales by L**2, and l_low/l_high are that
+band turned into lengths. So roots and intervals stay finite beyond
+L ~ 1e154, where L**2 overflows; only the band's areas can leave the float
+range. The sign regions are intersected with the feasible domain, which
+handles every threshold uniformly, including thresholds below the
+constrained minimum or above the domain supremum.
 """
 
 import math
@@ -84,17 +91,19 @@ class FeasibilityRange:
     x_hat: float | None = None
 
 
-def _line_coefficients(problem: PartitionProblem):
-    """Quadratic a*x**2 + b*x + c0 for the total area along the shared line,
-    with the summed inverse weights of the shared shapes and of the last."""
+def _line(problem: PartitionProblem, threshold: float = 0.0):
+    """(s, a, b, c, discriminant): the total along the shared line less the
+    threshold A is a*v**2 + b*v + c in units of s = max(L, sqrt(A)), with
+    v = x/s and areas over s**2, where neither side overflows; b < 0 < a."""
     k = len(problem.shapes) - 1
-    length = problem.total_length
     shared = sum(1.0 / sigma(s) for s in problem.shapes[:-1])
     last = 1.0 / sigma(problem.shapes[-1])
+    scale = max(problem.total_length, math.sqrt(threshold))
+    ratio = problem.total_length / scale
     a = (shared + k * k * last) / 4.0
-    b = -length * k * last / 2.0
-    c0 = length * length * last / 4.0
-    return k, a, b, c0, shared, last
+    b = -k * last / 2.0 * ratio
+    c = last / 4.0 * ratio * ratio - threshold / scale / scale
+    return scale, a, b, c, b * b - 4.0 * a * c
 
 
 def shared_perimeter_total(problem: PartitionProblem, x: float) -> float:
@@ -113,18 +122,15 @@ def threshold_roots(problem: PartitionProblem, threshold: float):
     """Roots (x_minus, x_plus) of total(x) = threshold, or None if the line
     never reaches the threshold. Roots may fall outside the feasible domain."""
     _check_positive(threshold, "threshold")
-    _, a, b, c, _, _ = _line_coefficients(problem)
-    c = c - threshold
-    disc = b * b - 4.0 * a * c
+    scale, a, b, c, disc = _line(problem, threshold)
     if disc < 0.0:
         return None
-    # b <= 0 always, so this split avoids cancellation in the large root.
+    # b < 0, so this split avoids cancellation in the small root.
     q = (-b + math.sqrt(disc)) / 2.0
-    hi = q / a
-    lo = c / q if q != 0.0 else 0.0
+    lo, hi = c / q, q / a
     if lo > hi:
         lo, hi = hi, lo
-    return lo, hi
+    return lo * scale, hi * scale
 
 
 def feasibility_range(problem: PartitionProblem, threshold: float | None = None) -> FeasibilityRange:
@@ -133,33 +139,22 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
     With a threshold given, l_low/l_high are the wire lengths between which
     that threshold stays inside the band (l_low <= L <= l_high exactly when
     a_low <= threshold <= a_high), and x_hat (two-shape problems only) is
-    half the width of the upper-sense solution interval.
+    half the width of the roots' interval, None exactly when they are.
     """
-    k, a, b, c0, shared, last = _line_coefficients(problem)
     length = problem.total_length
-    a_low = c0 - b * b / (4.0 * a)
-    a_high = c0
+    _, a, _, high, disc = _line(problem)
+    low = -disc / (4.0 * a)
     l_low = l_high = x_hat = None
     if threshold is not None:
         _check_positive(threshold, "threshold")
-        l_low = 2.0 * math.sqrt(threshold / last)
-        l_high = 2.0 * math.sqrt(threshold * (shared + k * k * last) / (last * shared))
+        # The band scales as L**2, so the threshold meets an edge at L = sqrt(A / edge).
+        l_low = math.sqrt(threshold) / math.sqrt(high)
+        l_high = math.sqrt(threshold) / math.sqrt(low)
         if len(problem.shapes) == 2:
-            first_w = sigma(problem.shapes[0])
-            last_w = sigma(problem.shapes[1])
-            total_w = first_w + last_w
-            squared = first_w * last_w * (4.0 * threshold - length * length / total_w) / total_w
-            if squared >= 0.0:
-                x_hat = math.sqrt(squared)
-    return FeasibilityRange(a_low, a_high, l_low, l_high, x_hat)
-
-
-def _clip(lo: float, hi: float, domain_hi: float, floor: float):
-    lo = max(lo, 0.0)
-    hi = min(hi, domain_hi)
-    if hi - lo > floor:
-        return (lo, hi)
-    return None
+            scale, a, _, _, disc = _line(problem, threshold)
+            if disc >= 0.0:
+                x_hat = scale * math.sqrt(disc) / (2.0 * a)
+    return FeasibilityRange(length * length * low, length * length * high, l_low, l_high, x_hat)
 
 
 def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
@@ -169,16 +164,12 @@ def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
     length = query.problem.total_length
     domain_hi = length / k
     floor = _WIDTH_FLOOR * length
-    roots = threshold_roots(query.problem, query.threshold)
-    if roots is None:
-        # The quadratic stays above the threshold everywhere.
-        pieces = [(0.0, domain_hi)] if query.sense == "lower" else []
-    elif query.sense == "lower":
-        pieces = [(0.0, roots[0]), (roots[1], domain_hi)]
-    else:
-        pieces = [roots]
-    kept = [piece for lo, hi in pieces if (piece := _clip(lo, hi, domain_hi, floor))]
-    return IntervalSet(tuple(kept))
+    # Without roots the line stays above the threshold, as with a double root
+    # at 0: the upper set is empty and the lower one is the whole domain.
+    lo, hi = threshold_roots(query.problem, query.threshold) or (0.0, 0.0)
+    lo, hi = min(max(lo, 0.0), domain_hi), min(max(hi, 0.0), domain_hi)
+    pieces = [(0.0, lo), (hi, domain_hi)] if query.sense == "lower" else [(lo, hi)]
+    return IntervalSet(tuple([(start, end) for start, end in pieces if end - start > floor]))
 
 
 def solve_two_polygon(query: BoundQuery) -> IntervalSet:

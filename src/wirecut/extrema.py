@@ -8,8 +8,8 @@ Boundary stationary points (one piece pinned to zero) are exposed as
 diagnostics; they are minima of the restricted problem, not maxima.
 """
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .geometry import Shape, _check_count, _check_positive, area, parse_shape, sigma
 
@@ -73,8 +73,10 @@ def total_area(shapes, lengths) -> float:
     return sum(area(s, x) for s, x in zip(shapes, lengths))
 
 
-def _result(kind, problem, lengths, excluded_index=None) -> PartitionResult:
-    lengths = tuple(lengths)
+def _split(kind, problem, weights, excluded_index=None) -> PartitionResult:
+    """Each piece proportional to its weight, the pieces summing to L."""
+    scale = problem.total_length / sum(weights)
+    lengths = tuple(w * scale for w in weights)
     areas = tuple(area(s, x) for s, x in zip(problem.shapes, lengths))
     return PartitionResult(kind, lengths, areas, sum(areas), excluded_index)
 
@@ -85,10 +87,7 @@ def minimize_partition(problem: PartitionProblem) -> PartitionResult:
     Setting the constrained gradient to zero gives lengths[i] =
     L * sigma_i / sum(sigma), hence total = L**2 / (4 * sum(sigma)).
     """
-    weights = [sigma(s) for s in problem.shapes]
-    denom = sum(weights)
-    scale = problem.total_length / denom
-    return _result(INTERIOR_MINIMUM, problem, (w * scale for w in weights))
+    return _split(INTERIOR_MINIMUM, problem, [sigma(s) for s in problem.shapes])
 
 
 def maximize_partition(problem: PartitionProblem) -> PartitionResult:
@@ -100,9 +99,9 @@ def maximize_partition(problem: PartitionProblem) -> PartitionResult:
     """
     weights = [sigma(s) for s in problem.shapes]
     best = min(range(len(weights)), key=weights.__getitem__)
-    lengths = [0.0] * len(weights)
-    lengths[best] = problem.total_length
-    return _result(VERTEX_MAXIMUM, problem, lengths)
+    vertex = [0.0] * len(weights)
+    vertex[best] = 1.0
+    return _split(VERTEX_MAXIMUM, problem, vertex)
 
 
 def face_stationary(problem: PartitionProblem, excluded_index: int) -> PartitionResult:
@@ -117,11 +116,9 @@ def face_stationary(problem: PartitionProblem, excluded_index: int) -> Partition
     if not 0 <= excluded_index < count:
         raise ValueError(f"excluded index {excluded_index} out of range for {count} shapes")
     weights = [sigma(s) for s in problem.shapes]
-    denom = sum(w for i, w in enumerate(weights) if i != excluded_index)
-    scale = problem.total_length / denom
-    lengths = [w * scale for w in weights]
-    lengths[excluded_index] = 0.0
-    return _result(FACE_STATIONARY, problem, lengths, excluded_index)
+    # A zero weight pins the piece; adding 0.0 leaves the sum's bits alone.
+    weights[excluded_index] = 0.0
+    return _split(FACE_STATIONARY, problem, weights, excluded_index)
 
 
 def paper_face_max(problem: PartitionProblem) -> PartitionResult:
@@ -131,9 +128,5 @@ def paper_face_max(problem: PartitionProblem) -> PartitionResult:
     vertex maximum, so this is a lower bound on maximize_partition, not the
     maximum itself. Ties go to the lowest excluded index.
     """
-    best = None
-    for b in range(len(problem.shapes)):
-        candidate = face_stationary(problem, b)
-        if best is None or candidate.total_area > best.total_area:
-            best = candidate
-    return best
+    faces = (face_stationary(problem, b) for b in range(len(problem.shapes)))
+    return max(faces, key=attrgetter("total_area"))

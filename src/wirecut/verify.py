@@ -7,6 +7,7 @@ threshold, and an allocation against plain enumeration. Tolerances are
 documented in the README's problem-file section.
 """
 
+import sys
 from dataclasses import dataclass
 
 from .allocation import AllocationProblem, optimize_allocation
@@ -39,7 +40,9 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     resolution sets the lattice steps of a partition scan (at least 2); by
     default it follows the shape count. Other problems take no resolution
     and raise ValueError when given one. Raises ResourceLimitError where the
-    oracle's scan would be too large.
+    oracle's scan would be too large, and ValueError where a partition is so
+    short that the minimum check's bound falls below the smallest normal
+    float, since its areas then compare as zeros.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)
@@ -61,11 +64,14 @@ def _partition_checks(problem, resolution):
     if resolution is None:
         resolution = _RESOLUTIONS.get(len(problem.shapes), 12)
     grid = GridSpec(resolution)
+    step = problem.total_length / resolution
+    min_bound = step * step * sum(1.0 / (4.0 * sigma(s)) for s in problem.shapes)
+    if min_bound < sys.float_info.min:
+        # Every area would round to zero or lose its digits: comparing them shows nothing.
+        raise ValueError("areas underflow: lengths below the float range")
     closed_min = minimize_partition(problem)
     sampled_min = grid_min(problem, grid)
     min_gap = sampled_min.total_area - closed_min.total_area
-    step = problem.total_length / resolution
-    min_bound = step * step * sum(1.0 / (4.0 * sigma(s)) for s in problem.shapes)
     closed_max = maximize_partition(problem)
     sampled_max = grid_max(problem, grid)
     max_gap = abs(closed_max.total_area - sampled_max.total_area)

@@ -2,8 +2,11 @@
 
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut import (
     BoundQuery,
@@ -258,3 +261,88 @@ def test_vertex_max_dominates_line():
         hi = domain_high(problem)
         for i in range(101):
             assert shared_perimeter_total(problem, hi * i / 100) <= ceiling * (1 + 1e-12)
+
+
+def test_x_hat_is_none_exactly_when_roots_are():
+    """Thresholds a few ulps around the band's bottom, where the two used to
+    disagree on whether the line reaches the threshold."""
+    rng = random.Random(13)
+    for _ in range(300):
+        problem = random_problem(rng, max_shapes=2)
+        start = feasibility_range(problem).a_low
+        for direction in (0.0, math.inf):
+            threshold = start
+            for _ in range(7):
+                x_hat = feasibility_range(problem, threshold).x_hat
+                roots = threshold_roots(problem, threshold)
+                assert (x_hat is None) == (roots is None), (problem, threshold)
+                threshold = math.nextafter(threshold, direction)
+
+
+def _normal(value):
+    return sys.float_info.min <= value <= sys.float_info.max
+
+
+@st.composite
+def scaled_queries(draw):
+    """A bound query at L in [0.5, 2] and a power of two c = 2**m whose
+    scaled copy (L*c, A*c**2) keeps every intermediate a normal float. Small
+    thresholds let L*c reach far past 1e154."""
+    shapes = tuple(draw(st.lists(st.sampled_from(SHAPE_POOL), min_size=2, max_size=6)))
+    length = draw(st.floats(0.5, 2.0))
+    # A/L**2 inside the band (about 0.005 to 0.08) or far below it
+    log_alpha = draw(st.one_of(st.floats(-3.0, -0.5), st.floats(-250.0, -3.0)))
+    threshold = 10.0**log_alpha * length * length
+    log_l, log_a = math.log2(length), math.log2(threshold)
+    low = math.ceil(max(-900 - log_l, (-900 - log_a) / 2, -900 - log_a + log_l))
+    high = math.floor(min(1000 - log_l, (1000 - log_a) / 2))
+    m = low + round(draw(st.floats(0.0, 1.0)) * (high - low))
+    sense = draw(st.sampled_from(("lower", "upper")))
+    return shapes, length, threshold, 2.0**m, sense
+
+
+def _bound_answers(problem, threshold, sense):
+    band = feasibility_range(problem, threshold)
+    intervals = solve_equal_perimeter(BoundQuery(problem, threshold, sense)).intervals
+    return intervals, threshold_roots(problem, threshold), band.l_low, band.l_high, band.x_hat
+
+
+@given(scaled_queries())
+@settings(max_examples=400, deadline=None)
+def test_power_of_two_scaling_is_exact(case):
+    """The problem is covariant under x -> c*x, A -> c**2*A; for c a power of
+    two every length answer scales by exactly c."""
+    shapes, length, threshold, c, sense = case
+    big_length, big_threshold = length * c, threshold * c * c
+    assert _normal(big_length) and _normal(big_threshold) and _normal(big_threshold / big_length)
+    intervals, roots, l_low, l_high, x_hat = _bound_answers(
+        PartitionProblem(length, shapes), threshold, sense
+    )
+    expected = (
+        tuple((lo * c, hi * c) for lo, hi in intervals),
+        None if roots is None else (roots[0] * c, roots[1] * c),
+        l_low * c,
+        l_high * c,
+        None if x_hat is None else x_hat * c,
+    )
+    assert _bound_answers(PartitionProblem(big_length, shapes), big_threshold, sense) == expected
+
+
+def test_huge_length_keeps_roots_and_intervals_finite():
+    problem = PartitionProblem(1e200, (3, 4))
+    assert threshold_roots(problem, 1e300) is None
+    assert solve_equal_perimeter(BoundQuery(problem, 1e300, "lower")).intervals == ((0.0, 1e200),)
+    assert solve_equal_perimeter(BoundQuery(problem, 1e300, "upper")).is_empty
+    band = feasibility_range(problem, 1e300)
+    assert math.isfinite(band.l_low) and math.isfinite(band.l_high)
+
+
+def test_threshold_far_above_tiny_length_keeps_finite_roots():
+    """A/L**2 overflows a float here; the roots (about +-sqrt(A)) do not."""
+    problem = PartitionProblem(1e-10, (3, 4))
+    roots = threshold_roots(problem, 1e300)
+    assert roots is not None and all(math.isfinite(r) for r in roots)
+    assert roots[0] < 0.0 < 1e-10 < roots[1]
+    upper = solve_equal_perimeter(BoundQuery(problem, 1e300, "upper"))
+    assert upper.intervals == ((0.0, 1e-10),)
+    assert solve_equal_perimeter(BoundQuery(problem, 1e300, "lower")).is_empty

@@ -273,6 +273,17 @@ def test_verify_non_finite_lattice_exits_2(capsys, tmp_path):
         assert "error: lattice totals are not finite" in err
 
 
+@pytest.mark.parametrize("length", [1e-200, 1e-160])
+def test_verify_underflowing_partition_exits_2(capsys, tmp_path, length):
+    problem_file = tmp_path / "tiny.json"
+    problem_file.write_text(json.dumps({"mode": "partition", "length": length, "shapes": [3, 4, 5]}))
+    for output in ("table", "json"):
+        code, out, err = run(capsys, "verify", "--file", str(problem_file), "--format", output)
+        assert code == 2
+        assert out == ""
+        assert "error: areas underflow: lengths below the float range" in err
+
+
 def test_non_numeric_inline_length_exits_2(capsys):
     code, _, err = run(capsys, "allocate", "--lengths", "1,x", "--budget", "9")
     assert code == 2

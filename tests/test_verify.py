@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wirecut import Check, cross_check
+from wirecut import Check, PartitionProblem, cross_check
 from wirecut.cli import _decode
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -26,3 +26,12 @@ def test_resolution_rejected_for_non_partition_problems(name):
     problem = _decode(json.loads((PROBLEMS / name).read_text()))
     with pytest.raises(ValueError, match="resolution"):
         cross_check(problem, resolution=3)
+
+
+@pytest.mark.parametrize("length", [1e-200, 1e-160])
+def test_underflowing_partition_raises(length):
+    """Every area rounds to zero or below the normal range, so the checks
+    would compare zeros and pass whatever the solvers returned."""
+    problem = PartitionProblem(length, (3, 4, 5))
+    with pytest.raises(ValueError, match="areas underflow: lengths below the float range"):
+        cross_check(problem)
