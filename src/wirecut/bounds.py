@@ -45,9 +45,11 @@ _SENSES = ("lower", "upper")
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Disjoint open intervals, ascending; the solution set of one query."""
+    """Disjoint open intervals, ascending, inside the feasible domain
+    (0, L/k); the solution set of one query."""
 
     intervals: tuple[tuple[float, float], ...]
+    domain: tuple[float, float]
 
     @property
     def is_empty(self) -> bool:
@@ -169,7 +171,8 @@ def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
     lo, hi = threshold_roots(query.problem, query.threshold) or (0.0, 0.0)
     lo, hi = min(max(lo, 0.0), domain_hi), min(max(hi, 0.0), domain_hi)
     pieces = [(0.0, lo), (hi, domain_hi)] if query.sense == "lower" else [(lo, hi)]
-    return IntervalSet(tuple([(start, end) for start, end in pieces if end - start > floor]))
+    kept = tuple([(start, end) for start, end in pieces if end - start > floor])
+    return IntervalSet(kept, (0.0, domain_hi))
 
 
 def solve_two_polygon(query: BoundQuery) -> IntervalSet:

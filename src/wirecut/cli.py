@@ -14,6 +14,9 @@ and JSON output echoes the problem through `_encode`. Comma lists such as
 The command table `_COMMANDS` gives each subcommand its mode, handler and
 extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
 `main` builds the parser on its first call and reuses it for the process.
+When the first argument names a subcommand, `main` parses the rest with
+that subcommand's parser alone; anything else (no arguments, -h, an
+unknown command) goes through the top-level parser and its messages.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a result
 that JSON cannot represent (NaN, inf), 3 infeasible side budget, 4 resource
@@ -162,11 +165,10 @@ def _cmd_bounds(args) -> int:
     intervals = solve_equal_perimeter(query)
     roots = threshold_roots(problem, query.threshold)
     band = feasibility_range(problem, query.threshold)
-    domain_hi = problem.total_length / (len(problem.shapes) - 1)
     lines = [
         f"{'sense':<18} {query.sense}",
         f"{'threshold':<18} {_fmt(query.threshold)}",
-        f"{'domain':<18} (0.000, {_fmt(domain_hi)})",
+        f"{'domain':<18} (0.000, {_fmt(intervals.domain[1])})",
         f"{'threshold band':<18} [{_fmt(band.a_low)}, {_fmt(band.a_high)}]",
         f"{'roots':<18} " + (f"{_fmt(roots[0])}, {_fmt(roots[1])}" if roots else "none"),
         f"{'intervals':<18} "
@@ -176,7 +178,7 @@ def _cmd_bounds(args) -> int:
             else "empty"
         ),
     ]
-    result = {"domain": (0.0, domain_hi), "roots": roots, **vars(intervals), **vars(band)}
+    result = {"domain": intervals.domain, "roots": roots, **vars(intervals), **vars(band)}
     _emit(args, lines, command="bounds", problem=_encode(query), result=result)
     return EXIT_OK
 
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         command_parser.add_argument("--file", required=mode is None, help="JSON problem file")
         for flag in (*_FIELDS.get(mode, {}).values(), *extra, "--format"):
             command_parser.add_argument(flag, **_FLAGS[flag])
-        command_parser.set_defaults(handler=handler, mode=mode)
+        command_parser.set_defaults(command=command, handler=handler, mode=mode)
+    parser.commands = sub.choices  # each subcommand's parser, by name
     return parser
 
 
@@ -262,7 +265,9 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else _parser.parse_args(argv)
     try:
         return args.handler(args)
     except (InfeasibleBudgetError, ResourceLimitError, ValueError) as exc:

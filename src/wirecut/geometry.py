@@ -5,6 +5,10 @@ a shape of perimeter P encloses area P**2 / (4 * sigma), so a small sigma
 marks an efficient encloser. The circle is a distinct variant rather than a
 huge-n polygon, which keeps its limiting values (sigma = pi, area =
 P**2 / (4*pi)) exact instead of suffering cancellation in tan near pi/2.
+
+Each Shape computes its weight once, when it is built, and keeps it outside
+its dataclass fields, so ``sigma`` is a lookup while equality, hashing, repr,
+copies and ``dataclasses.replace`` see only the side count.
 """
 
 import math
@@ -29,11 +33,13 @@ class Shape:
     sides: int | None
 
     def __post_init__(self):
-        if self.sides is None:
-            return
-        _check_count(self.sides, "side count")
-        if self.sides < 3:
-            raise ValueError(f"a polygon needs at least 3 sides, got {self.sides}")
+        n = self.sides
+        if n is not None:
+            _check_count(n, "side count")
+            if n < 3:
+                raise ValueError(f"a polygon needs at least 3 sides, got {n}")
+        # n * tan(pi/n) is n / tan(half_angle), well-conditioned for large n.
+        object.__setattr__(self, "_sigma", math.pi if n is None else n * math.tan(math.pi / n))
 
     @property
     def is_circle(self) -> bool:
@@ -81,15 +87,9 @@ def half_angle(shape: Shape) -> float:
 
 
 def sigma(shape: Shape) -> float:
-    """The weight n / tan(half_angle); pi for the circle.
-
-    Evaluated as ``n * tan(pi/n)``, the same number in a form that stays
-    well-conditioned for very large side counts.
-    """
-    if shape.is_circle:
-        return math.pi
-    n = shape.sides
-    return n * math.tan(math.pi / n)
+    """The weight n / tan(half_angle), evaluated as ``n * tan(pi/n)`` when
+    the shape was built; pi for the circle."""
+    return shape._sigma
 
 
 def apothem(shape: Shape, perimeter: float) -> float:
@@ -100,8 +100,9 @@ def apothem(shape: Shape, perimeter: float) -> float:
 
 def area(shape: Shape, perimeter: float) -> float:
     """Enclosed area at the given perimeter; zero perimeter means zero area."""
-    _check_positive(perimeter, "perimeter", allow_zero=True)
-    return perimeter * perimeter / (4.0 * sigma(shape))
+    if not (type(perimeter) is float and 0.0 <= perimeter < math.inf):
+        _check_positive(perimeter, "perimeter", allow_zero=True)
+    return perimeter * perimeter / (4.0 * shape._sigma)
 
 
 def _check_positive(value, what, allow_zero=False):

@@ -41,8 +41,8 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     default it follows the shape count. Other problems take no resolution
     and raise ValueError when given one. Raises ResourceLimitError where the
     oracle's scan would be too large, and ValueError where a partition is so
-    short that the minimum check's bound falls below the smallest normal
-    float, since its areas then compare as zeros.
+    short that either check's bound falls below the smallest normal float,
+    since its areas then compare as zeros or lose their digits.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)
@@ -66,16 +66,16 @@ def _partition_checks(problem, resolution):
     grid = GridSpec(resolution)
     step = problem.total_length / resolution
     min_bound = step * step * sum(1.0 / (4.0 * sigma(s)) for s in problem.shapes)
-    if min_bound < sys.float_info.min:
+    closed_min = minimize_partition(problem)
+    closed_max = maximize_partition(problem)
+    max_bound = 1e-9 * closed_max.total_area
+    if min(min_bound, max_bound) < sys.float_info.min:
         # Every area would round to zero or lose its digits: comparing them shows nothing.
         raise ValueError("areas underflow: lengths below the float range")
-    closed_min = minimize_partition(problem)
     sampled_min = grid_min(problem, grid)
     min_gap = sampled_min.total_area - closed_min.total_area
-    closed_max = maximize_partition(problem)
     sampled_max = grid_max(problem, grid)
     max_gap = abs(closed_max.total_area - sampled_max.total_area)
-    max_bound = 1e-9 * closed_max.total_area
     slack = 1e-9 * closed_min.total_area
     label = f"vs grid (resolution {resolution})"
     return (
@@ -87,7 +87,7 @@ def _partition_checks(problem, resolution):
 def _bound_checks(query):
     problem = query.problem
     intervals = solve_equal_perimeter(query)
-    domain_hi = problem.total_length / (len(problem.shapes) - 1)
+    domain_hi = intervals.domain[1]
     guard = 1e-6 * problem.total_length
 
     def satisfied(x):

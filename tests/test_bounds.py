@@ -346,3 +346,12 @@ def test_threshold_far_above_tiny_length_keeps_finite_roots():
     upper = solve_equal_perimeter(BoundQuery(problem, 1e300, "upper"))
     assert upper.intervals == ((0.0, 1e-10),)
     assert solve_equal_perimeter(BoundQuery(problem, 1e300, "lower")).is_empty
+
+
+@pytest.mark.parametrize("shapes", [(4, 3), (4, 3, "circle"), (3, 5, 7, 9, 12)])
+def test_interval_set_carries_the_domain(shapes):
+    problem = PartitionProblem(12.0, shapes)
+    for sense in ("lower", "upper"):
+        intervals = solve_equal_perimeter(BoundQuery(problem, 5.0, sense))
+        assert intervals.domain == (0.0, domain_high(problem))
+        assert all(0.0 <= lo < hi <= intervals.domain[1] for lo, hi in intervals.intervals)

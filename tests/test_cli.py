@@ -273,7 +273,7 @@ def test_verify_non_finite_lattice_exits_2(capsys, tmp_path):
         assert "error: lattice totals are not finite" in err
 
 
-@pytest.mark.parametrize("length", [1e-200, 1e-160])
+@pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-150])
 def test_verify_underflowing_partition_exits_2(capsys, tmp_path, length):
     problem_file = tmp_path / "tiny.json"
     problem_file.write_text(json.dumps({"mode": "partition", "length": length, "shapes": [3, 4, 5]}))
@@ -282,6 +282,16 @@ def test_verify_underflowing_partition_exits_2(capsys, tmp_path, length):
         assert code == 2
         assert out == ""
         assert "error: areas underflow: lengths below the float range" in err
+
+
+def test_bounds_json_result_keys_and_domain(capsys):
+    code, out, _ = run(capsys, "bounds", "--length", "10", "--shapes", "4,3,circle", "--area", "5",
+                       "--sense", "upper", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert list(result) == ["domain", "roots", "intervals", "a_low", "a_high", "l_low", "l_high",
+                            "x_hat"]
+    assert result["domain"] == [0.0, 5.0]
 
 
 def test_non_numeric_inline_length_exits_2(capsys):
@@ -367,10 +377,62 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 ], ids=["allocate-shapes", "min-budget", "min-paper-face-max", "bounds-resolution",
         "verify-length", "verify-no-file"])
 def test_foreign_flag_exits_through_argparse(capsys, argv):
+    """The subcommand's own parser rejects the flag, with its usage."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "usage: wirecut" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage: wirecut" in err
+    assert err.startswith(f"usage: wirecut {argv[0]} ")
+    assert f"\nwirecut {argv[0]}: error: " in err
+
+
+def test_subcommand_parser_matches_the_full_parser():
+    """main parses with the subcommand's parser alone; it must read every
+    request as the full tree does: inline flags, --file, abbreviations."""
+    square = str(PROBLEMS / "partition_square_triangle.json")
+    bounds = str(PROBLEMS / "bounds_three_shapes.json")
+    wires = str(PROBLEMS / "allocation_two_wires.json")
+    corpus = [
+        ["min", "--length", "12", "--shapes", "4,3"],
+        ["min", "--len", "12", "--sha", "4,3,circle"],
+        ["min", "--file", square],
+        ["min", "--file", square, "--length", "9"],
+        ["max", "--length", "12", "--shapes", "4,3"],
+        ["max", "--file", square, "--paper-face-max"],
+        ["max", "--len=12", "--shapes=4,3", "--paper"],
+        ["bounds", "--length", "10", "--shapes", "4,3,circle", "--area", "5", "--sense", "lower"],
+        ["bounds", "--file", bounds, "--sense", "upper"],
+        ["bounds", "--len", "10", "--sh", "4,3", "--ar", "5", "--se", "upper"],
+        ["allocate", "--lengths", "1,2", "--budget", "9"],
+        ["allocate", "--len", "1,2", "--bud", "9"],
+        ["allocate", "--file", wires, "--budget", "12"],
+        ["verify", "--file", square],
+        ["verify", "--file", square, "--resolution", "30"],
+        ["verify", "--fi", bounds, "--res", "7"],
+        ["verify", "--file", wires],
+    ]
+    parser = cli.build_parser()
+    for fmt in ([], ["--format", "table"], ["--format", "json"], ["--form", "json"]):
+        for argv in corpus:
+            argv = argv + fmt
+            dispatched = parser.commands[argv[0]].parse_args(argv[1:])
+            assert vars(dispatched) == vars(parser.parse_args(argv)), argv
+            assert dispatched.command == argv[0]
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    ([], 2, "err", "wirecut: error: the following arguments are required: command"),
+    (["nosuch"], 2, "err", "wirecut: error: argument command: invalid choice: 'nosuch'"),
+    (["--help"], 0, "out", "usage: wirecut [-h] {min,max,bounds,allocate,verify} ..."),
+    (["-h", "min"], 0, "out", "usage: wirecut [-h] {min,max,bounds,allocate,verify} ..."),
+], ids=["no-arguments", "unknown-command", "help", "help-before-command"])
+def test_top_level_parser_handles_the_rest(capsys, argv, code, stream, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert text in (captured.err if stream == "err" else captured.out)
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):

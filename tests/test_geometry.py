@@ -1,12 +1,28 @@
 """Area kernel: golden values, invariants, and input validation."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirecut import CIRCLE, Shape, apothem, area, half_angle, parse_shape, regular, sigma
+from wirecut import (
+    CIRCLE,
+    PartitionProblem,
+    Shape,
+    apothem,
+    area,
+    cross_check,
+    half_angle,
+    parse_shape,
+    regular,
+    sigma,
+)
 
 shape_st = st.one_of(st.integers(min_value=3, max_value=2000).map(Shape), st.just(CIRCLE))
 perimeter_st = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -120,10 +136,73 @@ def test_shape_rejects_small_or_fractional(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [-1.0, math.nan, math.inf, "x", True, pytest.param(10**400, id="int-over-float")]
+    "bad",
+    [-1.0, math.nan, math.inf, "x", True, pytest.param(10**400, id="int-over-float"),
+     False, -math.inf, -5e-324, -3],
 )
 def test_negative_perimeter_rejected(bad):
-    with pytest.raises(ValueError):
+    message = f"^{re.escape(f'perimeter must be a non-negative finite number, got {bad!r}')}$"
+    with pytest.raises(ValueError, match=message):
         area(Shape(4), bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         apothem(Shape(4), bad)
+
+
+# Perimeters area accepts: both zeros, subnormals, ints whose square a float
+# holds, and any finite non-negative float (squares past ~1.3e154 overflow
+# to inf on either side of the comparison).
+accepted_perimeter_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, 1e154, sys.float_info.max]),
+    st.floats(min_value=0.0, max_value=sys.float_info.min, allow_subnormal=True),
+    st.integers(min_value=0, max_value=10**150),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(shape_st, accepted_perimeter_st)
+@settings(max_examples=400, deadline=None)
+def test_area_is_the_closed_form_bit_for_bit(shape, perimeter):
+    weight = math.pi if shape.is_circle else shape.sides * math.tan(math.pi / shape.sides)
+    expected = perimeter * perimeter / (4.0 * weight)
+    assert area(shape, perimeter).hex() == expected.hex()
+    assert sigma(shape).hex() == weight.hex()
+
+
+def test_weight_is_no_dataclass_field():
+    shape = Shape(5)
+    assert [field.name for field in dataclasses.fields(Shape)] == ["sides"]
+    assert dataclasses.asdict(shape) == {"sides": 5}
+    assert repr(shape) == "Shape(sides=5)" and repr(CIRCLE) == "Shape(sides=None)"
+    assert shape == Shape(5) and shape != Shape(6)
+    assert hash(shape) == hash((5,)) and hash(CIRCLE) == hash((None,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.sides = 6
+
+
+@pytest.mark.parametrize("shape", [Shape(3), Shape(7), Shape(10**6), CIRCLE], ids=str)
+def test_weight_survives_copy_pickle_and_replace(shape):
+    for twin in (copy.copy(shape), copy.deepcopy(shape), pickle.loads(pickle.dumps(shape))):
+        assert twin == shape
+        assert sigma(twin) == sigma(shape)
+    assert sigma(dataclasses.replace(shape)) == sigma(shape)
+    assert sigma(dataclasses.replace(shape, sides=4)) == 4.0 * math.tan(math.pi / 4)
+    assert sigma(dataclasses.replace(shape, sides=None)) == math.pi
+
+
+@pytest.mark.parametrize(
+    "shapes, resolution", [((3, 7), 500), ((3, 4, 5), 60), ((4, "circle", 4, 9), 12)]
+)
+def test_tan_taken_once_per_shape(monkeypatch, shapes, resolution):
+    """The weight is computed when a shape is built, not on every area call."""
+    calls = []
+    tan = math.tan
+
+    def counting_tan(x):
+        calls.append(x)
+        return tan(x)
+
+    monkeypatch.setattr(math, "tan", counting_tan)
+    problem = PartitionProblem(10.0, shapes)
+    checks = cross_check(problem, resolution)
+    assert all(check.ok for check in checks)
+    assert len(calls) <= sum(s != "circle" for s in shapes)

@@ -28,10 +28,11 @@ def test_resolution_rejected_for_non_partition_problems(name):
         cross_check(problem, resolution=3)
 
 
-@pytest.mark.parametrize("length", [1e-200, 1e-160])
+@pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-150])
 def test_underflowing_partition_raises(length):
     """Every area rounds to zero or below the normal range, so the checks
-    would compare zeros and pass whatever the solvers returned."""
+    would compare zeros and pass whatever the solvers returned. At 1e-150
+    only the maximum check's bound, 1e-9 * total, is subnormal."""
     problem = PartitionProblem(length, (3, 4, 5))
     with pytest.raises(ValueError, match="areas underflow: lengths below the float range"):
         cross_check(problem)
