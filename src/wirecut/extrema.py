@@ -126,7 +126,18 @@ def paper_face_max(problem: PartitionProblem) -> PartitionResult:
 
     Kept as a boundary diagnostic: every face point is dominated by the
     vertex maximum, so this is a lower bound on maximize_partition, not the
-    maximum itself. Ties go to the lowest excluded index.
+    maximum itself. Pinning piece b leaves the total L**2 / (4 * (S - sigma_b)),
+    S = sum(sigma), so the face pinning the heaviest shape wins; only faces
+    whose weight ties the largest within rounding are scored. Ties go to the
+    lowest excluded index among equal float totals, and where every total
+    overflows or underflows alike, to the heaviest shape's face.
     """
-    faces = (face_stationary(problem, b) for b in range(len(problem.shapes)))
+    weights = [sigma(s) for s in problem.shapes]
+    top = max(weights)
+    # Exact face totals rank as the weights do, by 1 + (top - w) / (S - top).
+    # A float total is a sum of k weights, a scale, k products, k areas and a
+    # sum of k areas, so it is off by under (3k + 4) units of 2**-53; faces
+    # whose weights differ by more than twice that times S cannot swap order.
+    tol = (4 * len(weights) + 8) * 2.0**-52 * sum(weights)
+    faces = (face_stationary(problem, b) for b, w in enumerate(weights) if w >= top - tol)
     return max(faces, key=attrgetter("total_area"))

@@ -40,9 +40,9 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     resolution sets the lattice steps of a partition scan (at least 2); by
     default it follows the shape count. Other problems take no resolution
     and raise ValueError when given one. Raises ResourceLimitError where the
-    oracle's scan would be too large, and ValueError where a partition is so
-    short that either check's bound falls below the smallest normal float,
-    since its areas then compare as zeros or lose their digits.
+    oracle's scan would be too large, and ValueError where a partition's
+    check bound or an allocation's best total falls below the smallest
+    normal float, since its areas then compare as zeros or lose digits.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)
@@ -54,6 +54,8 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     if isinstance(problem, BoundQuery):
         return _bound_checks(problem)
     fast = optimize_allocation(problem)
+    if fast.total_area < sys.float_info.min:
+        raise ValueError("areas underflow: lengths below the float range")
     slow = enumerate_allocations(problem)
     gap = abs(fast.total_area - slow.total_area)
     same = fast.sides == slow.sides and fast.total_area == slow.total_area

@@ -284,6 +284,19 @@ def test_verify_underflowing_partition_exits_2(capsys, tmp_path, length):
         assert "error: areas underflow: lengths below the float range" in err
 
 
+@pytest.mark.parametrize("lengths, code", [([1e-170, 1e-170], 2), ([1e-150, 1e-150], 0),
+                                           ([1.0, 1e-170], 0)])
+def test_verify_allocation_underflow_exits_2(capsys, tmp_path, lengths, code):
+    problem_file = tmp_path / "tiny.json"
+    problem_file.write_text(json.dumps({"mode": "allocation", "lengths": lengths,
+                                        "side_budget": 20}))
+    got, out, err = run(capsys, "verify", "--file", str(problem_file))
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert "error: areas underflow: lengths below the float range" in err
+
+
 def test_bounds_json_result_keys_and_domain(capsys):
     code, out, _ = run(capsys, "bounds", "--length", "10", "--shapes", "4,3,circle", "--area", "5",
                        "--sense", "upper", "--format", "json")

@@ -2,8 +2,13 @@
 
 import math
 import random
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wirecut.extrema
 
 from wirecut import (
     CIRCLE,
@@ -138,6 +143,51 @@ def test_paper_face_max_below_vertex_max():
         assert paper_face_max(problem).total_area <= maximize_partition(
             problem
         ).total_area * (1 + 1e-12)
+
+
+def reference_face_max(problem):
+    """The scan paper_face_max replaces: score all k faces, keep the first largest."""
+    faces = (face_stationary(problem, b) for b in range(len(problem.shapes)))
+    return max(faces, key=attrgetter("total_area"))
+
+
+# Rich in duplicates, in large polygons whose weights tie pi within an ulp
+# or two, and in the circle itself.
+FACE_POOL = [3, 3, 4, 4, 5, 6, 12, 10**6, 10**6 + 1, 10**7, "circle", "circle"]
+
+
+@st.composite
+def face_problems(draw):
+    shapes = draw(st.lists(st.sampled_from(FACE_POOL), min_size=2, max_size=12))
+    length = 10.0 ** draw(st.floats(-150.0, 150.0))
+    return PartitionProblem(length, tuple(shapes))
+
+
+@given(face_problems())
+@settings(max_examples=400, deadline=None)
+def test_paper_face_max_matches_full_face_scan(problem):
+    assert paper_face_max(problem) == reference_face_max(problem)
+
+
+@pytest.mark.parametrize("shapes, scored", [((3, 4, 6, "circle"), 1), ((5, 3, 3, 4), 2)])
+def test_paper_face_max_scores_only_near_tied_faces(monkeypatch, shapes, scored):
+    calls = []
+
+    def counting(problem, excluded_index):
+        calls.append(excluded_index)
+        return face_stationary(problem, excluded_index)
+
+    monkeypatch.setattr(wirecut.extrema, "face_stationary", counting)
+    problem = PartitionProblem(10.0, shapes)
+    assert paper_face_max(problem) == reference_face_max(problem)
+    assert len(calls) == scored
+
+
+@pytest.mark.parametrize("length", [1e-200, 1.0, 1e200])
+def test_paper_face_max_pins_heaviest_shape_at_any_scale(length):
+    """At 1e-200 every face total is 0.0 and at 1e200 inf, yet the face
+    stays the one the weights pick at every representable scale."""
+    assert paper_face_max(PartitionProblem(length, (4, "circle", 3))).excluded_index == 2
 
 
 def test_lengths_sum_and_area_consistency():

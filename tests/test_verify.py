@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wirecut import Check, PartitionProblem, cross_check
+from wirecut import AllocationProblem, Check, PartitionProblem, cross_check
 from wirecut.cli import _decode
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -36,3 +36,16 @@ def test_underflowing_partition_raises(length):
     problem = PartitionProblem(length, (3, 4, 5))
     with pytest.raises(ValueError, match="areas underflow: lengths below the float range"):
         cross_check(problem)
+
+
+def test_underflowing_allocation_raises():
+    """Every float total is 0.0, so the optimizer and the enumeration would
+    disagree on rounding noise alone."""
+    with pytest.raises(ValueError, match="areas underflow: lengths below the float range"):
+        cross_check(AllocationProblem((1e-170, 1e-170), 20))
+
+
+@pytest.mark.parametrize("lengths", [(1e-150, 1e-150), (1.0, 1e-170)])
+def test_allocation_with_normal_best_total_passes(lengths):
+    (check,) = cross_check(AllocationProblem(lengths, 20))
+    assert check.ok, check
