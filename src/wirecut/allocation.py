@@ -18,11 +18,26 @@ about 1e154 or below 1e-154), that check still covers only allocations
 near the exact optimum, not every allocation whose total rounds the same.
 The continuous first-order conditions have no closed form; they are kept
 only as residual diagnostics on the integer winner.
+
+Every value a solve needs per side count depends on the count alone, so the
+module keeps one table indexed by it: the excess tan(a)/a - 1 behind each
+gain and the cotangent behind each stationarity score, plus the Shape of
+every count a result or near-tie candidate has used. A solve grows the
+columns to I - 3(k-1) + 1, the largest count the greedy cutoff looks at,
+after the SIDE_LIMIT guard; m new counts take at most 2m tans, and each new
+Shape one more, once per process. Nothing is filled at import. A solve then
+costs its heap steps, each two column reads and one gain, and the near-tie
+check: it takes no tan, and on counts used before builds no Shape and
+validates nothing again, while its areas and candidate totals still run the
+shared area kernel. Each column is an immutable tuple, the two rebound
+together, and a solve reads them once, so concurrent solves each see a
+whole table at least as long as they need. No result is cached.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
 from .geometry import Shape, _check_count, _check_positive, area
@@ -93,13 +108,47 @@ class AllocationResult:
     residuals: tuple[float, ...]
 
 
+# (excess, cotangent) columns indexed by side count, counts 0-2 holding None,
+# and the Shapes built so far for counts the columns cover.
+_table = ((None,) * 3,) * 2
+_shapes = {}
+
+
+def _grown(size: int):
+    """The table's columns, grown to hold every side count below size."""
+    global _table
+    table = _table
+    excess, cot = table
+    if len(excess) < size:
+        counts = range(len(excess), size)
+        table = (
+            excess + tuple(map(_excess, counts)),
+            cot + tuple(1.0 / math.tan(math.pi / n) for n in counts),
+        )
+        _table = table
+    return table
+
+
+def _shape(n) -> Shape:
+    """Shape(n), built once for each count the table covers; other values,
+    4.0 and True among them, still go through Shape's checks."""
+    if type(n) is not int:
+        return Shape(n)
+    shape = _shapes.get(n)
+    if shape is None:
+        shape = Shape(n)
+        if n < len(_table[0]):
+            _shapes[n] = shape
+    return shape
+
+
 def total_area_for_allocation(lengths, sides) -> float:
     """Total enclosed area when wire i is bent into a regular sides[i]-gon."""
     lengths = tuple(lengths)
     sides = tuple(sides)
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
-    return sum(area(Shape(n), x) for n, x in zip(sides, lengths))
+    return sum(area(_shape(n), x) for n, x in zip(sides, lengths))
 
 
 def _excess(n: int) -> float:
@@ -138,22 +187,21 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
             "up to which float areas grow with every side"
         )
+    excess, cot = _grown(widest + 2)
     # Weights relative to the longest wire, so that no gain over- or underflows.
     longest = max(lengths)
     weights = [(x / longest) ** 2 for x in lengths]
     sides = [3] * wires
-    e3, e4 = _excess(3), _excess(4)
-    excess = [e3] * wires
-    heap = [(-_gain(w, e3, e4), i, e4) for i, w in enumerate(weights)]
+    heap = [(-_gain(w, excess[3], excess[4]), i) for i, w in enumerate(weights)]
     heapq.heapify(heap)
     worst_accepted = math.inf
     for _ in range(budget - 3 * wires):
-        neg_gain, i, e_next = heap[0]
-        worst_accepted = min(worst_accepted, -neg_gain)
+        neg_gain, i = heap[0]
+        if -neg_gain < worst_accepted:
+            worst_accepted = -neg_gain
         sides[i] += 1
-        excess[i] = e_next
-        e_next = _excess(sides[i] + 1)
-        heapq.heapreplace(heap, (-_gain(weights[i], excess[i], e_next), i, e_next))
+        n = sides[i]
+        heapq.heapreplace(heap, (-_gain(weights[i], excess[n], excess[n + 1]), i))
     best_rejected = -heap[0][0]
 
     # An allocation can tie or beat the greedy one in float only if its exact
@@ -161,13 +209,13 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # totals, each under k+6 units in the last place. Every side it takes
     # away then adds at most that much more than the best rejected side, and
     # every side it adds at most that much less than the worst accepted side.
-    total = sum(w / (4.0 * math.pi * (1.0 + e)) for w, e in zip(weights, excess))
+    total = sum(w / (4.0 * math.pi * (1.0 + excess[n])) for w, n in zip(weights, sides))
     tolerance = (wires + 8) * 2.0**-50 * total
     # A wire can only take as many sides as the others can give, and back.
-    removable = [_top_run(w, n, best_rejected + tolerance) for w, n in zip(weights, sides)]
+    removable = [_top_run(excess, w, n, best_rejected + tolerance) for w, n in zip(weights, sides)]
     given = sum(removable)
     addable = [
-        _next_run(w, n, worst_accepted - tolerance, given - r)
+        _next_run(excess, w, n, worst_accepted - tolerance, given - r)
         for w, n, r in zip(weights, sides, removable)
     ]
     taken = sum(addable)
@@ -187,9 +235,9 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             candidate_total = total_area_for_allocation(lengths, candidate)
             if candidate_total > best_total:
                 best, best_total = candidate, candidate_total
-    areas = tuple(area(Shape(n), x) for n, x in zip(best, lengths))
-    residuals = stationarity_residual(lengths, best)
-    return AllocationResult(best, areas, sum(areas), residuals)
+    areas = tuple(area(_shape(n), x) for n, x in zip(best, lengths))
+    terms = [_score(n, cot[n], x) for n, x in zip(best, lengths)]
+    return AllocationResult(best, areas, sum(areas), tuple(map(sub, terms, terms[1:])))
 
 
 def _reach(moves) -> list:
@@ -230,31 +278,25 @@ def _zero_sum(moves, reach):
             stack.append(iter(moves[i + 1]))
 
 
-def _top_run(weight: float, n: int, ceiling: float) -> int:
+def _top_run(excess, weight: float, n: int, ceiling: float) -> int:
     """How many of the sides already given, from the n-th down, each added at
     most ceiling; never counts below 3 sides."""
     count = 0
-    e_above = _excess(n)
     while n - count > 3:
-        e_below = _excess(n - count - 1)
-        if _gain(weight, e_below, e_above) > ceiling:
+        if _gain(weight, excess[n - count - 1], excess[n - count]) > ceiling:
             break
         count += 1
-        e_above = e_below
     return count
 
 
-def _next_run(weight: float, n: int, floor: float, limit: int) -> int:
+def _next_run(excess, weight: float, n: int, floor: float, limit: int) -> int:
     """How many of the next sides, from the (n+1)-th up, would each add at
     least floor; counts at most limit."""
     count = 0
-    e_below = _excess(n)
     while count < limit:
-        e_above = _excess(n + count + 1)
-        if _gain(weight, e_below, e_above) < floor:
+        if _gain(weight, excess[n + count], excess[n + count + 1]) < floor:
             break
         count += 1
-        e_below = e_above
     return count
 
 
@@ -270,8 +312,12 @@ def stationarity_term(side: float, length: float) -> float:
     if side <= 2:
         raise ValueError(f"side count must exceed 2, got {side!r}")
     _check_positive(length, "length")
+    return _score(side, 1.0 / math.tan(math.pi / side), length)
+
+
+def _score(side, cot: float, length: float) -> float:
+    """stationarity_term of valid inputs, given cot = 1/tan(pi/side)."""
     alpha = math.pi / side
-    cot = 1.0 / math.tan(alpha)
     scaled = alpha * length
     score = scaled * scaled * (alpha * cot * cot - cot + alpha)
     if not math.isfinite(score):
@@ -287,4 +333,4 @@ def stationarity_residual(lengths, sides) -> tuple[float, ...]:
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
     terms = [stationarity_term(n, x) for n, x in zip(sides, lengths)]
-    return tuple(terms[i] - terms[i + 1] for i in range(len(terms) - 1))
+    return tuple(map(sub, terms, terms[1:]))

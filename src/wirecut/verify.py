@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from .allocation import AllocationProblem, optimize_allocation
-from .bounds import BoundQuery, shared_perimeter_total, solve_equal_perimeter
+from .bounds import BoundQuery, solve_equal_perimeter
 from .extrema import PartitionProblem, maximize_partition, minimize_partition
 from .geometry import sigma
 from .oracle import GridSpec, enumerate_allocations, grid_max, grid_min
@@ -88,34 +88,45 @@ def _partition_checks(problem, resolution):
 
 def _bound_checks(query):
     problem = query.problem
+    threshold = query.threshold
     intervals = solve_equal_perimeter(query)
     domain_hi = intervals.domain[1]
     guard = 1e-6 * problem.total_length
-
-    def satisfied(x):
-        total = shared_perimeter_total(problem, x)
-        return total > query.threshold if query.sense == "lower" else total < query.threshold
+    samples = 200
+    xs = [domain_hi * i / samples for i in range(1, samples)]
+    edges = [
+        edge
+        for lo, hi in intervals.intervals
+        for edge in (lo, hi)
+        if guard < edge < domain_hi - guard
+    ]
+    totals = _shared_totals(problem, xs + edges)
 
     violations = 0
-    samples = 200
-    for i in range(1, samples):
-        x = domain_hi * i / samples
+    for x, total in zip(xs, totals):
+        satisfied = total > threshold if query.sense == "lower" else total < threshold
         inside = any(lo + guard < x < hi - guard for lo, hi in intervals.intervals)
         clear_outside = all(x < lo - guard or x > hi + guard for lo, hi in intervals.intervals)
-        if inside and not satisfied(x):
+        if inside and not satisfied or clear_outside and satisfied:
             violations += 1
-        elif clear_outside and satisfied(x):
-            violations += 1
-
-    worst_residual = 0.0
-    for lo, hi in intervals.intervals:
-        for edge in (lo, hi):
-            if edge <= guard or edge >= domain_hi - guard:
-                continue
-            residual = abs(shared_perimeter_total(problem, edge) - query.threshold)
-            worst_residual = max(worst_residual, residual / query.threshold)
+    worst_residual = max(
+        [0.0] + [abs(total - threshold) / threshold for total in totals[len(xs):]]
+    )
     return (
         Check("interval membership (200 samples)", float(violations), 0.0, violations == 0),
         Check("endpoint residual (relative)", worst_residual, 1e-6, worst_residual <= 1e-6),
     )
 
+
+def _shared_totals(problem, xs) -> list[float]:
+    """shared_perimeter_total(problem, x) for each x in (0, L/k), bit for
+    bit: each shape's 4*sigma is taken once, and each total adds the same
+    areas, left to right, as total_area does."""
+    *shared, last = [4.0 * sigma(s) for s in problem.shapes]
+    k = len(shared)
+    length = problem.total_length
+    totals = []
+    for x in xs:
+        rest = length - k * x
+        totals.append(sum([x * x / w for w in shared] + [rest * rest / last]))
+    return totals

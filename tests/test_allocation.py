@@ -3,6 +3,9 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,9 @@ from wirecut import (
     AllocationProblem,
     InfeasibleBudgetError,
     ResourceLimitError,
+    Shape,
+    allocation,
+    area,
     enumerate_allocations,
     optimize_allocation,
     stationarity_residual,
@@ -263,3 +269,139 @@ def test_residual_shape():
     assert len(values) == 2
     with pytest.raises(ValueError):
         stationarity_residual((1.0, 2.0), (4,))
+
+
+@st.composite
+def scaled_problems(draw):
+    """k = 2..8 wires, all tied, some tied or all distinct, with lengths
+    log-uniform over 1e-150..1e150 and up to 200 sides to hand out."""
+    wires = draw(st.integers(2, 8))
+    draw_length = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
+    pool = draw(st.lists(draw_length, min_size=1, max_size=wires))
+    lengths = tuple(draw(st.sampled_from(pool)) for _ in range(wires))
+    budget = draw(st.integers(3 * wires, 3 * wires + 200))
+    return AllocationProblem(lengths, budget)
+
+
+@given(scaled_problems())
+@settings(max_examples=200, deadline=None)
+def test_result_is_bit_identical_to_public_kernels(problem):
+    """The tabulated solve reports what the public kernels compute afresh,
+    compared by float.hex on the running interpreter."""
+    lengths = problem.wire_lengths
+    result = optimize_allocation(problem)
+    sides = result.sides
+    for n, x, got in zip(sides, lengths, result.per_wire_areas):
+        assert got.hex() == area(Shape(n), x).hex()
+    assert result.total_area.hex() == total_area_for_allocation(lengths, sides).hex()
+    expected = stationarity_residual(lengths, sides)
+    assert [r.hex() for r in result.residuals] == [r.hex() for r in expected]
+
+
+# The table as import leaves it: no side count filled in.
+SEED_TABLE = ((None,) * 3,) * 2
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    monkeypatch.setattr(allocation, "_table", SEED_TABLE)
+    monkeypatch.setattr(allocation, "_shapes", {})
+
+
+def count_work(monkeypatch):
+    """Lists that record every tan taken and every Shape built."""
+    tans, shapes = [], []
+    tan = math.tan
+    post_init = Shape.__post_init__
+
+    def counting_tan(x):
+        tans.append(x)
+        return tan(x)
+
+    def counting_post_init(self):
+        shapes.append(self.sides)
+        post_init(self)
+
+    monkeypatch.setattr(math, "tan", counting_tan)
+    monkeypatch.setattr(Shape, "__post_init__", counting_post_init)
+    return tans, shapes
+
+
+@pytest.mark.parametrize("lengths, budget", [
+    ((1.0, 2.0, 3.0), 40),
+    ((1.0,) * 6, 25),  # equal wires: near-tie candidates are scored
+    ((0.5, 1.0, 1.0, 7.3), 2000),
+])
+def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_table, lengths, budget):
+    problem = AllocationProblem(lengths, budget)
+    first = optimize_allocation(problem)
+    tans, shapes = count_work(monkeypatch)
+    # The same problem again, and one twice as long, which has the same winner.
+    assert optimize_allocation(problem) == first
+    doubled = optimize_allocation(AllocationProblem(tuple(2.0 * x for x in lengths), budget))
+    assert doubled.sides == first.sides
+    assert tans == [] and shapes == []
+
+
+def test_table_ends_at_widest_plus_one(fresh_table):
+    # widest = I - 3(k-1) = 44 - 6; the greedy cutoff looks at one count more.
+    optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 44))
+    excess, cot = allocation._table
+    assert len(excess) == len(cot) == 38 + 2
+    # A smaller problem leaves it as it is; a refused one fills nothing.
+    optimize_allocation(AllocationProblem((1.0, 2.0), 10))
+    with pytest.raises(ResourceLimitError):
+        optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20007))
+    assert len(allocation._table[0]) == 40
+    assert set(allocation._shapes) <= set(range(3, 40))
+
+
+def test_table_grows_to_the_side_limit_at_most(fresh_table):
+    optimize_allocation(AllocationProblem((1.0, 2.0), allocation.SIDE_LIMIT + 3))
+    assert len(allocation._table[0]) == allocation.SIDE_LIMIT + 2
+
+
+def test_total_area_checks_counts_the_table_holds(fresh_table):
+    optimize_allocation(AllocationProblem((1.0, 2.0), 20))
+    for bad in (4.0, True, 2, -1):
+        with pytest.raises(ValueError):
+            total_area_for_allocation((1.0, 1.0), (4, bad))
+
+
+def test_import_fills_nothing():
+    script = "import wirecut; print(repr((wirecut.allocation._table, wirecut.allocation._shapes)))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == repr((SEED_TABLE, {}))
+
+
+def test_concurrent_solves_match_serial(fresh_table):
+    """Each solve reads the columns once, so solves that grow the table at
+    the same time still see whole columns."""
+    problems = [AllocationProblem((1.0, 1.7, 2.9), budget) for budget in (900, 3100, 6300, 12700)]
+    serial = [optimize_allocation(p) for p in problems]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            allocation._table, allocation._shapes = SEED_TABLE, {}
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(optimize_allocation, problems, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solve_keeps_the_columns_it_read(monkeypatch, fresh_table):
+    """A concurrent solve may rebind the table to a shorter one, grown from
+    an older copy, while this one runs; this one keeps its own columns."""
+    problem = AllocationProblem((1.0, 1.0, 1.0, 2.5), 60)
+    serial = optimize_allocation(problem)
+    grown = allocation._grown
+
+    def grown_then_rebound(size):
+        table = grown(size)
+        allocation._table = SEED_TABLE
+        return table
+
+    monkeypatch.setattr(allocation, "_table", SEED_TABLE)
+    monkeypatch.setattr(allocation, "_grown", grown_then_rebound)
+    assert optimize_allocation(problem) == serial

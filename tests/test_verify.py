@@ -4,9 +4,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wirecut import AllocationProblem, Check, PartitionProblem, cross_check
+from wirecut import (
+    AllocationProblem,
+    Check,
+    PartitionProblem,
+    cross_check,
+    shared_perimeter_total,
+)
 from wirecut.cli import _decode
+from wirecut.verify import _shared_totals
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -49,3 +58,24 @@ def test_underflowing_allocation_raises():
 def test_allocation_with_normal_best_total_passes(lengths):
     (check,) = cross_check(AllocationProblem(lengths, 20))
     assert check.ok, check
+
+
+@st.composite
+def bound_samples(draw):
+    """A partition of 2..6 shapes and points across its shared-perimeter
+    domain, short of the far end as the bounds check's samples and edges are."""
+    shapes = draw(st.lists(st.sampled_from([3, 4, 5, 6, 12, 10**6, "circle"]), min_size=2, max_size=6))
+    length = draw(st.floats(-150.0, 150.0).map(lambda e: 10.0**e))
+    problem = PartitionProblem(length, shapes)
+    domain_hi = length / (len(shapes) - 1)
+    fractions = st.floats(1e-9, 1.0 - 1e-6)
+    return problem, [domain_hi * f for f in draw(st.lists(fractions, min_size=1, max_size=20))]
+
+
+@given(bound_samples())
+@settings(max_examples=200, deadline=None)
+def test_bound_check_totals_match_shared_perimeter_total(sample):
+    problem, xs = sample
+    expected = [shared_perimeter_total(problem, x).hex() for x in xs]
+    assert [total.hex() for total in _shared_totals(problem, xs)] == expected
+
