@@ -3,41 +3,33 @@
 Each wire of length L_i is bent into a regular polygon with n_i sides; the
 n_i are integers >= 3 that must sum to a given budget I. The total area
 sum(L_i**2 * g(n_i)), with g(n) = 1/(4 n tan(pi/n)), is separable and
-concave in each n_i, so marginal analysis is exact (Fox 1966): start every
-wire at 3 sides and hand out the rest one at a time, each to the wire whose
-next side adds the most area. That costs O(I log k) instead of a scan of
-all C(I-2k-1, k-1) compositions.
+concave in each n_i, so marginal analysis is exact (Fox 1966): the optimum
+holds the I - 3k largest marginal gains. A solve starts near the continuous
+optimum, n_i - 3 proportional to (L_i/L_max)**(2/3), hands out the sides
+the floors leave, then moves one side at a time from the smallest last gain
+to the largest next gain while that gains. Gains rank by (gain, -index), as
+a heap greedy takes them, so the result is exactly the greedy's; the repair
+takes O(k) moves whatever I (Hochbaum 1994; Ibaraki & Katoh 1988, ch. 4).
 
 The result keeps the contract of the plain enumeration in the oracle: the
 largest total as computed in floating point and, on equal totals, the
 lexicographically smallest side sequence. Rounding can reorder allocations
 whose exact totals lie within a few ulps of each other, so every allocation
-that close to the greedy cutoff is scored with total_area_for_allocation.
+that close to the greedy cutoff is scored as total_area_for_allocation does.
 Where the float totals themselves overflow or underflow (lengths beyond
 about 1e154 or below 1e-154), that check still covers only allocations
 near the exact optimum, not every allocation whose total rounds the same.
 The continuous first-order conditions have no closed form; they are kept
 only as residual diagnostics on the integer winner.
 
-Every value a solve needs per side count depends on the count alone, so the
-module keeps one table indexed by it: the excess tan(a)/a - 1 behind each
-gain and the cotangent behind each stationarity score, plus the Shape of
-every count a result or near-tie candidate has used. A solve grows the
-columns to I - 3(k-1) + 1, the largest count the greedy cutoff looks at,
-after the SIDE_LIMIT guard; m new counts take at most 2m tans, and each new
-Shape one more, once per process. Nothing is filled at import. A solve then
-costs its heap steps, each two column reads and one gain, and the near-tie
-check: it takes no tan, and on counts used before builds no Shape and
-validates nothing again, while its areas and candidate totals still run the
-shared area kernel. Each column is an immutable tuple, the two rebound
-together, and a solve reads them once, so concurrent solves each see a
-whole table at least as long as they need. No result is cached.
+The excess, cotangent and Shape of each side count are memoized, so a
+process computes each once; import fills nothing and no result is cached.
 """
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
 from .geometry import Shape, _check_count, _check_positive, area
@@ -108,38 +100,8 @@ class AllocationResult:
     residuals: tuple[float, ...]
 
 
-# (excess, cotangent) columns indexed by side count, counts 0-2 holding None,
-# and the Shapes built so far for counts the columns cover.
-_table = ((None,) * 3,) * 2
-_shapes = {}
-
-
-def _grown(size: int):
-    """The table's columns, grown to hold every side count below size."""
-    global _table
-    table = _table
-    excess, cot = table
-    if len(excess) < size:
-        counts = range(len(excess), size)
-        table = (
-            excess + tuple(map(_excess, counts)),
-            cot + tuple(1.0 / math.tan(math.pi / n) for n in counts),
-        )
-        _table = table
-    return table
-
-
-def _shape(n) -> Shape:
-    """Shape(n), built once for each count the table covers; other values,
-    4.0 and True among them, still go through Shape's checks."""
-    if type(n) is not int:
-        return Shape(n)
-    shape = _shapes.get(n)
-    if shape is None:
-        shape = Shape(n)
-        if n < len(_table[0]):
-            _shapes[n] = shape
-    return shape
+# Shape(n) for each side count a solve uses, built once per process.
+_polygon = functools.cache(Shape)
 
 
 def total_area_for_allocation(lengths, sides) -> float:
@@ -148,9 +110,12 @@ def total_area_for_allocation(lengths, sides) -> float:
     sides = tuple(sides)
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
-    return sum(area(_shape(n), x) for n, x in zip(sides, lengths))
+    # Only counts a solve can use are memoized; 4.0, True, [4] and the rest meet Shape's checks.
+    return sum([area(_polygon(n) if type(n) is int and n <= SIDE_LIMIT + 1 else Shape(n), x)
+                for n, x in zip(sides, lengths)])
 
 
+@functools.cache
 def _excess(n: int) -> float:
     """tan(a)/a - 1 with a = pi/n; a unit-perimeter n-gon encloses
     1/(4 pi (1 + excess)). The series avoids cancellation for small a."""
@@ -164,9 +129,16 @@ def _excess(n: int) -> float:
     return acc * s
 
 
-def _gain(weight: float, e_from: float, e_to: float) -> float:
-    """Area added by one more side, from the excesses before and after, in a
-    form free of the cancellation in g(n+1) - g(n)."""
+@functools.cache
+def _cot(n: int) -> float:
+    """1/tan(pi/n), the cotangent behind an n-gon's stationarity score."""
+    return 1.0 / math.tan(math.pi / n)
+
+
+def _gain(weight: float, n: int) -> float:
+    """Area the (n+1)-th side adds, from the excesses before and after it,
+    in a form free of the cancellation in g(n+1) - g(n)."""
+    e_from, e_to = _excess(n), _excess(n + 1)
     return weight * (e_from - e_to) / (4.0 * math.pi * (1.0 + e_from) * (1.0 + e_to))
 
 
@@ -187,56 +159,77 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
             "up to which float areas grow with every side"
         )
-    excess, cot = _grown(widest + 2)
+    gain, inf = _gain, math.inf
     # Weights relative to the longest wire, so that no gain over- or underflows.
     longest = max(lengths)
     weights = [(x / longest) ** 2 for x in lengths]
-    sides = [3] * wires
-    heap = [(-_gain(w, excess[3], excess[4]), i) for i, w in enumerate(weights)]
-    heapq.heapify(heap)
-    worst_accepted = math.inf
-    for _ in range(budget - 3 * wires):
-        neg_gain, i = heap[0]
-        if -neg_gain < worst_accepted:
-            worst_accepted = -neg_gain
+    # Warm start near the continuous optimum, where n - 3 grows as w**(1/3).
+    roots = [w ** (1 / 3) for w in weights]
+    scale = (budget - 3 * wires) / sum(roots)
+    # Next and last gains, keyed (gain, -index) as a heap greedy ranks them;
+    # a wire at 3 sides has no last side to give.
+    sides, nexts, lasts = [], [], []
+    for i, w in enumerate(weights):
+        n = 3 + int(scale * roots[i])
+        sides.append(n)
+        nexts.append((gain(w, n), -i))
+        lasts.append((gain(w, n - 1) if n > 3 else inf, -i))
+    # Hand out what the floors leave (under k sides), then move sides while that gains.
+    left = budget - sum(sides)
+    while True:
+        top = max(nexts)
+        if left:
+            left -= 1
+        else:
+            bottom = min(lasts)
+            if top <= bottom:
+                break
+            j = -bottom[1]
+            sides[j] -= 1
+            nexts[j] = bottom
+            lasts[j] = (gain(weights[j], sides[j] - 1) if sides[j] > 3 else inf, -j)
+        i = -top[1]
         sides[i] += 1
-        n = sides[i]
-        heapq.heapreplace(heap, (-_gain(weights[i], excess[n], excess[n + 1]), i))
-    best_rejected = -heap[0][0]
+        lasts[i], nexts[i] = top, (gain(weights[i], sides[i]), -i)
+    best_rejected, worst_accepted = top[0], bottom[0]
 
     # An allocation can tie or beat the greedy one in float only if its exact
     # total lies below the greedy total by at most the rounding error of two
     # totals, each under k+6 units in the last place. Every side it takes
     # away then adds at most that much more than the best rejected side, and
     # every side it adds at most that much less than the worst accepted side.
-    total = sum(w / (4.0 * math.pi * (1.0 + excess[n])) for w, n in zip(weights, sides))
+    total = sum(w / (4.0 * math.pi * (1.0 + _excess(n))) for w, n in zip(weights, sides))
     tolerance = (wires + 8) * 2.0**-50 * total
-    # A wire can only take as many sides as the others can give, and back.
-    removable = [_top_run(excess, w, n, best_rejected + tolerance) for w, n in zip(weights, sides)]
-    given = sum(removable)
-    addable = [
-        _next_run(excess, w, n, worst_accepted - tolerance, given - r)
-        for w, n, r in zip(weights, sides, removable)
-    ]
-    taken = sum(addable)
-    moves = [range(-min(r, taken - a), a + 1) for r, a in zip(removable, addable)]
     best = tuple(sides)
-    if any(len(m) > 1 for m in moves):
-        reach = _reach(moves)
-        candidates = reach[0][0]
-        if candidates > CANDIDATE_LIMIT:
-            raise ResourceLimitError(
-                f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
-            )
-        # Lexicographic order, so the first of equal totals is the one kept.
-        best_total = -math.inf
-        for move in _zero_sum(moves, reach):
-            candidate = tuple(n + d for n, d in zip(sides, move))
-            candidate_total = total_area_for_allocation(lengths, candidate)
-            if candidate_total > best_total:
-                best, best_total = candidate, candidate_total
-    areas = tuple(area(_shape(n), x) for n, x in zip(best, lengths))
-    terms = [_score(n, cot[n], x) for n, x in zip(best, lengths)]
+    ceiling = best_rejected + tolerance
+    if worst_accepted <= ceiling:  # else no wire has a side to give
+        # A wire can only take as many sides as the others can give, and back;
+        # most stop at the last or next gain the repair already holds.
+        removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
+                     for (last, _), w, n in zip(lasts, weights, sides)]
+        given = sum(removable)
+        floor = worst_accepted - tolerance
+        addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
+                   for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
+        taken = sum(addable)
+        moves = [range(-min(r, taken - a), a + 1) for r, a in zip(removable, addable)]
+        if any(len(m) > 1 for m in moves):
+            reach = _reach(moves)
+            candidates = reach[0][0]
+            if candidates > CANDIDATE_LIMIT:
+                raise ResourceLimitError(
+                    f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
+                )
+            # Lexicographic order, so the first of equal totals is the one kept;
+            # each total adds the areas as total_area_for_allocation does.
+            best_total = -math.inf
+            for move in _zero_sum(moves, reach):
+                candidate = tuple(map(add, sides, move))
+                candidate_total = sum(map(area, map(_polygon, candidate), lengths))
+                if candidate_total > best_total:
+                    best, best_total = candidate, candidate_total
+    areas = tuple(map(area, map(_polygon, best), lengths))
+    terms = [_score(n, _cot(n), x) for n, x in zip(best, lengths)]
     return AllocationResult(best, areas, sum(areas), tuple(map(sub, terms, terms[1:])))
 
 
@@ -278,26 +271,15 @@ def _zero_sum(moves, reach):
             stack.append(iter(moves[i + 1]))
 
 
-def _top_run(excess, weight: float, n: int, ceiling: float) -> int:
-    """How many of the sides already given, from the n-th down, each added at
-    most ceiling; never counts below 3 sides."""
-    count = 0
-    while n - count > 3:
-        if _gain(weight, excess[n - count - 1], excess[n - count]) > ceiling:
+def _run(weight: float, counts, low: float, high: float) -> int:
+    """How many sides in a row, the (m+1)-th for each m in counts, add an
+    area between low and high."""
+    run = 0
+    for m in counts:
+        if not low <= _gain(weight, m) <= high:
             break
-        count += 1
-    return count
-
-
-def _next_run(excess, weight: float, n: int, floor: float, limit: int) -> int:
-    """How many of the next sides, from the (n+1)-th up, would each add at
-    least floor; counts at most limit."""
-    count = 0
-    while count < limit:
-        if _gain(weight, excess[n + count], excess[n + count + 1]) < floor:
-            break
-        count += 1
-    return count
+        run += 1
+    return run
 
 
 def stationarity_term(side: float, length: float) -> float:

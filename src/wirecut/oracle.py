@@ -127,8 +127,8 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
 
     Totals are evaluated through the same total_area_for_allocation kernel,
     so agreement with the optimizer is exact, not merely within tolerance.
-    The optimizer tabulates only its gains and stationarity scores by side
-    count: its candidate totals and per-wire areas still run this kernel, on
+    The optimizer memoizes only values per side count: its candidate totals
+    and per-wire areas add the same area() values in the same order, on
     Shapes equal to the ones built here.
     """
     wires = len(problem.wire_lengths)

@@ -103,10 +103,8 @@ def _bound_checks(query):
     totals = _shared_totals(problem, xs + edges)
 
     violations = 0
-    for x, total in zip(xs, totals):
+    for total, (inside, clear_outside) in zip(totals, _membership(xs, intervals.intervals, guard)):
         satisfied = total > threshold if query.sense == "lower" else total < threshold
-        inside = any(lo + guard < x < hi - guard for lo, hi in intervals.intervals)
-        clear_outside = all(x < lo - guard or x > hi + guard for lo, hi in intervals.intervals)
         if inside and not satisfied or clear_outside and satisfied:
             violations += 1
     worst_residual = max(
@@ -116,6 +114,24 @@ def _bound_checks(query):
         Check("interval membership (200 samples)", float(violations), 0.0, violations == 0),
         Check("endpoint residual (relative)", worst_residual, 1e-6, worst_residual <= 1e-6),
     )
+
+
+def _membership(xs, intervals, guard):
+    """For each x of an ascending sequence, (inside, clear): whether some
+    interval holds x more than guard within its ends, and whether x lies
+    more than guard outside every interval. The intervals are disjoint and
+    ascending, so one merge pass finds, for each x, the first interval that
+    x has not passed by more than guard, the only one that can hold it or
+    come within guard of it."""
+    j = 0
+    for x in xs:
+        while j < len(intervals) and x > intervals[j][1] + guard:
+            j += 1
+        if j == len(intervals):
+            yield False, True
+        else:
+            lo, hi = intervals[j]
+            yield lo + guard < x < hi - guard, x < lo - guard
 
 
 def _shared_totals(problem, xs) -> list[float]:

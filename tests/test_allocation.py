@@ -298,14 +298,14 @@ def test_result_is_bit_identical_to_public_kernels(problem):
     assert [r.hex() for r in result.residuals] == [r.hex() for r in expected]
 
 
-# The table as import leaves it: no side count filled in.
-SEED_TABLE = ((None,) * 3,) * 2
+# The memos behind a solve, keyed by side count.
+MEMOS = ("_excess", "_cot", "_polygon")
 
 
 @pytest.fixture
-def fresh_table(monkeypatch):
-    monkeypatch.setattr(allocation, "_table", SEED_TABLE)
-    monkeypatch.setattr(allocation, "_shapes", {})
+def fresh_caches():
+    for name in MEMOS:
+        getattr(allocation, name).cache_clear()
 
 
 def count_work(monkeypatch):
@@ -332,7 +332,7 @@ def count_work(monkeypatch):
     ((1.0,) * 6, 25),  # equal wires: near-tie candidates are scored
     ((0.5, 1.0, 1.0, 7.3), 2000),
 ])
-def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_table, lengths, budget):
+def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_caches, lengths, budget):
     problem = AllocationProblem(lengths, budget)
     first = optimize_allocation(problem)
     tans, shapes = count_work(monkeypatch)
@@ -343,65 +343,65 @@ def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_table,
     assert tans == [] and shapes == []
 
 
-def test_table_ends_at_widest_plus_one(fresh_table):
-    # widest = I - 3(k-1) = 44 - 6; the greedy cutoff looks at one count more.
-    optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 44))
-    excess, cot = allocation._table
-    assert len(excess) == len(cot) == 38 + 2
-    # A smaller problem leaves it as it is; a refused one fills nothing.
-    optimize_allocation(AllocationProblem((1.0, 2.0), 10))
-    with pytest.raises(ResourceLimitError):
-        optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20007))
-    assert len(allocation._table[0]) == 40
-    assert set(allocation._shapes) <= set(range(3, 40))
+EIGHT_WIRES = (0.6, 0.9, 1.0, 1.3, 1.7, 2.1, 2.6, 3.0)
 
 
-def test_table_grows_to_the_side_limit_at_most(fresh_table):
-    optimize_allocation(AllocationProblem((1.0, 2.0), allocation.SIDE_LIMIT + 3))
-    assert len(allocation._table[0]) == allocation.SIDE_LIMIT + 2
+def test_solve_work_does_not_grow_with_the_budget(monkeypatch, fresh_caches):
+    """Gains, tans and Shapes per solve stay within a few per wire from a
+    budget of 60 up to the side limit."""
+    gains = []
+    gain = allocation._gain
+
+    def counting_gain(*args):
+        gains.append(args)
+        return gain(*args)
+
+    monkeypatch.setattr(allocation, "_gain", counting_gain)
+    tans, shapes = count_work(monkeypatch)
+    wires = len(EIGHT_WIRES)
+    counts = []
+    for budget in (60, 2_000, 20_021):
+        del gains[:], tans[:], shapes[:]
+        assert sum(optimize_allocation(AllocationProblem(EIGHT_WIRES, budget)).sides) == budget
+        assert len(tans) <= 4 * wires and len(shapes) <= 2 * wires
+        counts.append(len(gains))
+    assert max(counts) <= 8 * wires
+    assert max(counts) < 2 * min(counts)
 
 
-def test_total_area_checks_counts_the_table_holds(fresh_table):
+def test_total_area_checks_counts_the_table_holds(fresh_caches):
     optimize_allocation(AllocationProblem((1.0, 2.0), 20))
-    for bad in (4.0, True, 2, -1):
+    total_area_for_allocation((1.0, 1.0), (4, 4))
+    held = allocation._polygon.cache_info().currsize
+    for bad in (4.0, True, 2, -1, [4]):
         with pytest.raises(ValueError):
             total_area_for_allocation((1.0, 1.0), (4, bad))
+    # A valid count past any a solve can use is built but not kept.
+    huge = total_area_for_allocation((1.0, 1.0), (4, 10**9))
+    assert huge == area(Shape(4), 1.0) + area(Shape(10**9), 1.0)
+    assert allocation._polygon.cache_info().currsize == held
 
 
 def test_import_fills_nothing():
-    script = "import wirecut; print(repr((wirecut.allocation._table, wirecut.allocation._shapes)))"
+    script = (
+        "import wirecut; from wirecut import allocation; "
+        f"print([getattr(allocation, name).cache_info().currsize for name in {MEMOS!r}])"
+    )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == repr((SEED_TABLE, {}))
+    assert result.stdout.strip() == "[0, 0, 0]"
 
 
-def test_concurrent_solves_match_serial(fresh_table):
-    """Each solve reads the columns once, so solves that grow the table at
-    the same time still see whole columns."""
+def test_concurrent_solves_match_serial(fresh_caches):
+    """Solves that fill the memos at the same time get the serial results."""
     problems = [AllocationProblem((1.0, 1.7, 2.9), budget) for budget in (900, 3100, 6300, 12700)]
     serial = [optimize_allocation(p) for p in problems]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            allocation._table, allocation._shapes = SEED_TABLE, {}
+            for name in MEMOS:
+                getattr(allocation, name).cache_clear()
             with ThreadPoolExecutor(max_workers=4) as pool:
                 assert list(pool.map(optimize_allocation, problems, timeout=60)) == serial
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_solve_keeps_the_columns_it_read(monkeypatch, fresh_table):
-    """A concurrent solve may rebind the table to a shorter one, grown from
-    an older copy, while this one runs; this one keeps its own columns."""
-    problem = AllocationProblem((1.0, 1.0, 1.0, 2.5), 60)
-    serial = optimize_allocation(problem)
-    grown = allocation._grown
-
-    def grown_then_rebound(size):
-        table = grown(size)
-        allocation._table = SEED_TABLE
-        return table
-
-    monkeypatch.setattr(allocation, "_table", SEED_TABLE)
-    monkeypatch.setattr(allocation, "_grown", grown_then_rebound)
-    assert optimize_allocation(problem) == serial

@@ -1,6 +1,7 @@
 """Library cross-checks: Check records against the brute-force oracle."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from wirecut import (
     shared_perimeter_total,
 )
 from wirecut.cli import _decode
-from wirecut.verify import _shared_totals
+from wirecut.verify import _membership, _shared_totals
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -79,3 +80,41 @@ def test_bound_check_totals_match_shared_perimeter_total(sample):
     expected = [shared_perimeter_total(problem, x).hex() for x in xs]
     assert [total.hex() for total in _shared_totals(problem, xs)] == expected
 
+
+
+def random_intervals(rng, guard):
+    """Disjoint ascending intervals in (0, 10): some touch the one before,
+    some are narrower than the guard."""
+    intervals = []
+    end = rng.uniform(0.0, 1.0)
+    for _ in range(rng.randint(0, 6)):
+        lo = end if rng.random() < 0.3 else end + rng.uniform(0.0, 2.0)
+        width = rng.choice([rng.uniform(0.0, guard), rng.uniform(0.0, 2.0)])
+        intervals.append((lo, lo + width))
+        end = lo + width
+    return tuple(intervals)
+
+
+def test_membership_merge_matches_any_all_reference():
+    """The merge pass classifies every sample as the per-sample any/all scan
+    over the intervals does, so the bounds check counts the same violations."""
+    rng = random.Random(11)
+    for _ in range(3000):
+        guard = rng.choice([0.0, 1e-6, 0.05, 0.4])
+        intervals = random_intervals(rng, guard)
+        # Uniform samples plus every interval end and its guard band's edges.
+        edges = [e + s for lo, hi in intervals for e in (lo, hi) for s in (-guard, 0.0, guard)]
+        xs = sorted([rng.uniform(0.0, 14.0) for _ in range(rng.randint(0, 40))] + edges)
+        expected = [
+            (any(lo + guard < x < hi - guard for lo, hi in intervals),
+             all(x < lo - guard or x > hi + guard for lo, hi in intervals))
+            for x in xs
+        ]
+        got = list(_membership(xs, intervals, guard))
+        assert got == expected, (intervals, guard)
+        satisfied = [rng.random() < 0.5 for _ in xs]
+
+        def violations(classes):
+            return sum(inside and not ok or clear and ok for (inside, clear), ok in zip(classes, satisfied))
+
+        assert violations(got) == violations(expected)
