@@ -178,8 +178,8 @@ def _cmd_bounds(args) -> int:
             else "empty"
         ),
     ]
-    result = {"domain": intervals.domain, "roots": roots, **vars(intervals), **vars(band)}
-    _emit(args, lines, command="bounds", problem=_encode(query), result=result)
+    result = {"domain": intervals.domain, "roots": roots, "intervals": intervals.intervals}
+    _emit(args, lines, command="bounds", problem=_encode(query), result=result | vars(band))
     return EXIT_OK
 
 

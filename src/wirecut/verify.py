@@ -8,6 +8,7 @@ documented in the README's problem-file section.
 """
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .allocation import AllocationProblem, optimize_allocation
@@ -117,21 +118,19 @@ def _bound_checks(query):
 
 
 def _membership(xs, intervals, guard):
-    """For each x of an ascending sequence, (inside, clear): whether some
+    """For each x of an ascending list, (inside, clear): whether some
     interval holds x more than guard within its ends, and whether x lies
-    more than guard outside every interval. The intervals are disjoint and
-    ascending, so one merge pass finds, for each x, the first interval that
-    x has not passed by more than guard, the only one that can hold it or
-    come within guard of it."""
-    j = 0
-    for x in xs:
-        while j < len(intervals) and x > intervals[j][1] + guard:
-            j += 1
-        if j == len(intervals):
-            yield False, True
-        else:
-            lo, hi = intervals[j]
-            yield lo + guard < x < hi - guard, x < lo - guard
+    more than guard outside every interval. Bisection finds each interval's
+    runs of samples in (lo + guard, hi - guard), which are inside, and in
+    [lo - guard, hi + guard], which are not clear; an interval narrower
+    than 2*guard can give stop < start, an empty slice that marks nothing."""
+    inside, clear = [False] * len(xs), [True] * len(xs)
+    for lo, hi in intervals:
+        start, stop = bisect_right(xs, lo + guard), bisect_left(xs, hi - guard)
+        inside[start:stop] = [True] * (stop - start)
+        start, stop = bisect_left(xs, lo - guard), bisect_right(xs, hi + guard)
+        clear[start:stop] = [False] * (stop - start)
+    return zip(inside, clear)
 
 
 def _shared_totals(problem, xs) -> list[float]:

@@ -448,11 +448,19 @@ def test_top_level_parser_handles_the_rest(capsys, argv, code, stream, text):
     assert text in (captured.err if stream == "err" else captured.out)
 
 
-def test_malformed_json_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("command, content, text", [
+    ("min", "{not json", "problem file is not valid JSON"),
+    ("verify", '{"mode": "spiral"}', "unknown problem mode 'spiral'"),
+    ("min", None, "cannot read problem file"),
+    ("min", "[1, 2]", "problem file must hold a JSON object"),
+], ids=["not-json", "unknown-mode", "missing-file", "not-an-object"])
+def test_malformed_json_exits_2(capsys, tmp_path, command, content, text):
     problem_file = tmp_path / "broken.json"
-    problem_file.write_text("{not json")
-    code, _, err = run(capsys, "min", "--file", str(problem_file))
+    if content is not None:
+        problem_file.write_text(content)
+    code, _, err = run(capsys, command, "--file", str(problem_file))
     assert code == 2
+    assert text in err
 
 
 def test_console_script_entry_point():

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,14 @@ from wirecut import (
     Check,
     PartitionProblem,
     cross_check,
+    maximize_partition,
+    minimize_partition,
+    optimize_allocation,
     shared_perimeter_total,
+    solve_equal_perimeter,
 )
-from wirecut.cli import _decode
+from wirecut import verify
+from wirecut.cli import _decode, main
 from wirecut.verify import _membership, _shared_totals
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -29,6 +35,50 @@ def test_shipped_problem_files_pass(path):
         assert isinstance(check, Check)
         assert check.ok, check
         assert check.deviation <= check.bound, check
+
+
+def _wrong_min(problem):
+    result = minimize_partition(problem)
+    return replace(result, total_area=result.total_area * 1.01)
+
+
+def _wrong_max(problem):
+    result = maximize_partition(problem)
+    return replace(result, total_area=result.total_area * 0.9)
+
+
+def _wrong_intervals(query):
+    return replace(solve_equal_perimeter(query), intervals=((0.5, 4.0),))
+
+
+def _wrong_sides(problem):
+    return replace(optimize_allocation(problem), sides=(3, 6))
+
+
+@pytest.mark.parametrize("name, solver, wrong, oks", [
+    ("partition_square_triangle.json", "minimize_partition", _wrong_min, [False, True]),
+    ("partition_square_triangle.json", "maximize_partition", _wrong_max, [True, False]),
+    ("bounds_three_shapes.json", "solve_equal_perimeter", _wrong_intervals, [False, False]),
+    ("allocation_two_wires.json", "optimize_allocation", _wrong_sides, [False]),
+], ids=["minimum", "maximum", "bounds", "allocation"])
+def test_wrong_solver_fails_its_check(capsys, monkeypatch, name, solver, wrong, oks):
+    """A solver that answers wrong fails exactly the checks that compare its
+    answer, and `wirecut verify` then reports the failure and exits 1."""
+    path = PROBLEMS / name
+    monkeypatch.setattr(verify, solver, wrong)
+    checks = cross_check(_decode(json.loads(path.read_text())))
+    assert [check.ok for check in checks] == oks, checks
+    assert main(["verify", "--file", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verification FAILED"
+    assert main(["verify", "--file", str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert [check["ok"] for check in payload["checks"]] == oks
+
+
+def test_cross_check_rejects_other_types():
+    with pytest.raises(TypeError, match="cannot cross-check a int"):
+        cross_check(42)
 
 
 @pytest.mark.parametrize("name", ["bounds_three_shapes.json", "allocation_two_wires.json"])
