@@ -13,9 +13,14 @@ takes O(k) moves whatever I (Hochbaum 1994; Ibaraki & Katoh 1988, ch. 4).
 
 The result keeps the contract of the plain enumeration in the oracle: the
 largest total as computed in floating point and, on equal totals, the
-lexicographically smallest side sequence. Rounding can reorder allocations
-whose exact totals lie within a few ulps of each other, so every allocation
-that close to the greedy cutoff is scored as total_area_for_allocation does.
+lexicographically smallest side sequence. Totals are correctly rounded
+(math.fsum; Shewchuk 1997), so equal wires trade counts at no change in
+total, and the first of such trades ascends over the group. Rounding can
+reorder allocations whose exact totals lie within a few ulps of each other,
+so every allocation that close to the greedy cutoff and ascending over each
+group of equal wires is scored; where one group alone moves, by single
+sides, its counts are sorted and nothing is scored. CANDIDATE_LIMIT thus
+bites only on lengths that are distinct but within rounding of each other.
 Where the float totals themselves overflow or underflow (lengths beyond
 about 1e154 or below 1e-154), that check still covers only allocations
 near the exact optimum, not every allocation whose total rounds the same.
@@ -29,7 +34,7 @@ process computes each once; import fills nothing and no result is cached.
 import functools
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
 from .geometry import Shape, _check_count, _check_positive, area
@@ -48,11 +53,11 @@ __all__ = [
 # geometry, decides which allocation has the largest float total.
 SIDE_LIMIT = 20_000
 
-# Most near-tie allocations the check may score, the most any scan in this
+# Most near-tie allocations the check may hold, the most any scan in this
 # package scores. The near-tie allocations are some of the compositions, so
-# no problem with at most this many compositions is refused. Only many
-# nearly equal wires come near it: k equal wires sharing r sides tie C(k, r)
-# ways.
+# no problem with at most this many compositions is refused. Only many nearly
+# equal, distinct wires come near it: k lengths an ulp apart sharing r extra
+# sides nearly tie C(k, r) ways.
 CANDIDATE_LIMIT = 10**8
 
 # tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
@@ -111,8 +116,8 @@ def total_area_for_allocation(lengths, sides) -> float:
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
     # Only counts a solve can use are memoized; 4.0, True, [4] and the rest meet Shape's checks.
-    return sum([area(_polygon(n) if type(n) is int and n <= SIDE_LIMIT + 1 else Shape(n), x)
-                for n, x in zip(sides, lengths)])
+    return math.fsum([area(_polygon(n) if type(n) is int and n <= SIDE_LIMIT + 1 else Shape(n), x)
+                      for n, x in zip(sides, lengths)])
 
 
 @functools.cache
@@ -200,7 +205,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # every side it adds at most that much less than the worst accepted side.
     total = sum(w / (4.0 * math.pi * (1.0 + _excess(n))) for w, n in zip(weights, sides))
     tolerance = (wires + 8) * 2.0**-50 * total
-    best = tuple(sides)
+    best = sides
     ceiling = best_rejected + tolerance
     if worst_accepted <= ceiling:  # else no wire has a side to give
         # A wire can only take as many sides as the others can give, and back;
@@ -212,10 +217,18 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
                    for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
         taken = sum(addable)
-        moves = [range(-min(r, taken - a), a + 1) for r, a in zip(removable, addable)]
-        if any(len(m) > 1 for m in moves):
-            reach = _reach(moves)
-            candidates = reach[0][0]
+        spans = [range(n - min(r, taken - a), n + a + 1)
+                 for n, r, a in zip(sides, removable, addable)]
+        movable = [i for i, span in enumerate(spans) if len(span) > 1]
+        # One length and two counts: one group of equal wires alone moves, by
+        # single sides, so every candidate trades its counts; the first ascends.
+        if len({(lengths[i], n) for i in movable for n in spans[i]}) == 2:
+            group = [i for i, x in enumerate(lengths) if x == lengths[movable[0]]]
+            for i, n in zip(group, sorted([best[i] for i in group])):
+                best[i] = n
+        elif movable:
+            reach = _reach(spans)
+            candidates = reach[0][budget]
             if candidates > CANDIDATE_LIMIT:
                 raise ResourceLimitError(
                     f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
@@ -223,52 +236,54 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             # Lexicographic order, so the first of equal totals is the one kept;
             # each total adds the areas as total_area_for_allocation does.
             best_total = -math.inf
-            for move in _zero_sum(moves, reach):
-                candidate = tuple(map(add, sides, move))
-                candidate_total = sum(map(area, map(_polygon, candidate), lengths))
+            for candidate in _ascending(spans, reach, budget, lengths):
+                candidate_total = math.fsum(map(area, map(_polygon, candidate), lengths))
                 if candidate_total > best_total:
                     best, best_total = candidate, candidate_total
     areas = tuple(map(area, map(_polygon, best), lengths))
     terms = [_score(n, _cot(n), x) for n, x in zip(best, lengths)]
-    return AllocationResult(best, areas, sum(areas), tuple(map(sub, terms, terms[1:])))
+    return AllocationResult(tuple(best), areas, math.fsum(areas), tuple(map(sub, terms, terms[1:])))
 
 
-def _reach(moves) -> list:
-    """reach[i] maps each sum that one value from each of moves[i:] can make
+def _reach(spans) -> list:
+    """reach[i] maps each sum that one count from each of spans[i:] can make
     to the number of ways to make it."""
     reach = [{0: 1}]
-    for steps in reversed(moves):
+    for span in reversed(spans):
         ways = {}
         for total, count in reach[-1].items():
-            for d in steps:
-                ways[total + d] = ways.get(total + d, 0) + count
+            for n in span:
+                ways[total + n] = ways.get(total + n, 0) + count
         reach.append(ways)
     reach.reverse()
     return reach
 
 
-def _zero_sum(moves, reach):
-    """Every vector taking one value from each range of moves and summing to
-    zero, in lexicographic order. A value is tried only if the ranges after
-    it can still close the sum, so no dead branch is walked."""
-    last = len(moves) - 1
-    move = [0] * len(moves)
-    need = [0] * len(moves)  # need[i]: the sum moves[i:] must make
-    stack = [iter(moves[0])]
+def _ascending(spans, reach, total, lengths):
+    """Every vector taking one count from each span, summing to total and
+    ascending over each group of equal lengths, in lexicographic order. A
+    count is tried only if the spans after it can still close the sum."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)  # stable: groups in order
+    previous = {i: j for j, i in zip(order, order[1:]) if lengths[i] == lengths[j]}
+    last = len(spans) - 1
+    counts = [0] * (last + 2)  # counts[-1] = 0 floors each group's first wire
+    need = [total] + [0] * last  # need[i]: the sum spans[i:] must make
+    stack = [iter(spans[0])]
     while stack:
         i = len(stack) - 1
-        for d in stack[i]:
-            if need[i] - d in reach[i + 1]:
+        for n in stack[i]:
+            if need[i] - n in reach[i + 1]:
                 break
         else:
             stack.pop()
             continue
-        move[i] = d
+        counts[i] = n
         if i == last:
-            yield tuple(move)
+            yield tuple(counts[:-1])
         else:
-            need[i + 1] = need[i] - d
-            stack.append(iter(moves[i + 1]))
+            need[i + 1] = need[i] - n
+            span = spans[i + 1]
+            stack.append(iter(range(max(span.start, counts[previous.get(i + 1, -1)]), span.stop)))
 
 
 def _run(weight: float, counts, low: float, high: float) -> int:

@@ -127,9 +127,11 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
 
     Totals are evaluated through the same total_area_for_allocation kernel,
     so agreement with the optimizer is exact, not merely within tolerance.
-    The optimizer memoizes only values per side count: its candidate totals
-    and per-wire areas add the same area() values in the same order, on
-    Shapes equal to the ones built here.
+    The kernel's totals are correctly rounded (math.fsum), so equal wires tie
+    exactly and the first of the ties, kept here, ascends over them. The
+    optimizer memoizes only values per side count: its candidate totals and
+    its reported total take math.fsum of the same area() values, on Shapes
+    equal to the ones built here; this scan still tries every tuple.
     """
     wires = len(problem.wire_lengths)
     budget = problem.side_budget
@@ -152,4 +154,4 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
             best_total = total
     areas = tuple(area(Shape(n), x) for n, x in zip(best_sides, problem.wire_lengths))
     residuals = _allocation.stationarity_residual(problem.wire_lengths, best_sides)
-    return AllocationResult(best_sides, areas, sum(areas), residuals)
+    return AllocationResult(best_sides, areas, math.fsum(areas), residuals)

@@ -112,7 +112,7 @@ def _bound_checks(query):
         [0.0] + [abs(total - threshold) / threshold for total in totals[len(xs):]]
     )
     return (
-        Check("interval membership (200 samples)", float(violations), 0.0, violations == 0),
+        Check(f"interval membership ({len(xs)} samples)", float(violations), 0.0, violations == 0),
         Check("endpoint residual (relative)", worst_residual, 1e-6, worst_residual <= 1e-6),
     )
 

@@ -110,10 +110,12 @@ def test_resource_guard():
         optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20007))
     with pytest.raises(ResourceLimitError):
         optimize_allocation(AllocationProblem((1.0,) * 8, 100000))
-    # Thirty equal wires sharing fifteen extra sides tie C(30, 15) = 1.6e8
-    # ways, more near-tie allocations than the check may score.
-    with pytest.raises(ResourceLimitError):
-        optimize_allocation(AllocationProblem((1.0,) * 30, 105))
+    # Thirty lengths one ulp apart sharing fifteen extra sides nearly tie
+    # C(30, 15) = 1.6e8 ways, more near-tie allocations than the check may score.
+    with pytest.raises(ResourceLimitError, match="155117520 near-tie"):
+        optimize_allocation(AllocationProblem(ulp_chain(1.0, 30), 105))
+    # Thirty equal wires tie exactly, and the first of the ties ascends.
+    assert optimize_allocation(AllocationProblem((1.0,) * 30, 105)).sides == (3,) * 15 + (4,) * 15
 
 
 def test_equal_wires_score_only_zero_sum_moves():
@@ -129,6 +131,93 @@ def test_equal_wires_score_only_zero_sum_moves():
     result = optimize_allocation(AllocationProblem(lengths, 52))
     assert result.sides == best
     assert result.total_area == best_total
+
+
+def ascending_vectors(wires, budget, low=3):
+    """Every non-decreasing side vector of the given length and sum."""
+    if wires == 1:
+        if budget >= low:
+            yield (budget,)
+        return
+    for n in range(low, budget // wires + 1):
+        for rest in ascending_vectors(wires - 1, budget - n, n):
+            yield (n,) + rest
+
+
+def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch):
+    """Equal wires tie exactly under every permutation, so a brute force over
+    ascending vectors finds the winner, and the solve scores no permutation."""
+    lengths = (1.0,) * 20
+    best_total, best = -math.inf, None
+    for sides in ascending_vectors(20, 70):
+        total = total_area_for_allocation(lengths, sides)
+        if total > best_total:
+            best_total, best = total, sides
+    assert best == (3,) * 10 + (4,) * 10
+    calls = []
+    kernel = allocation.area
+    monkeypatch.setattr(allocation, "area", lambda *args: calls.append(args) or kernel(*args))
+    result = optimize_allocation(AllocationProblem(lengths, 70))
+    assert result.sides == best and result.total_area == best_total
+    assert len(calls) <= 2 * len(lengths)
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(3, 10_000)), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_total_area_is_correctly_rounded_in_any_order(pairs, rng):
+    lengths, sides = zip(*pairs)
+    total = total_area_for_allocation(lengths, sides)
+    assert total.hex() == math.fsum(area(Shape(n), x) for x, n in pairs).hex()
+    rng.shuffle(pairs)
+    lengths, sides = zip(*pairs)
+    assert total_area_for_allocation(lengths, sides).hex() == total.hex()
+
+
+def ulp_chain(base, size):
+    """base and the size - 1 floats above it."""
+    chain = [base]
+    while len(chain) < size:
+        chain.append(math.nextafter(chain[-1], math.inf))
+    return tuple(chain)
+
+
+@st.composite
+def pooled_problems(draw):
+    """Two to five wires drawn with repeats from two or three lengths, some of
+    them a few ulps apart."""
+    value = st.one_of(st.sampled_from(LENGTH_POOL), st.floats(0.25, 4.0))
+    chain = st.builds(ulp_chain, st.floats(0.25, 4.0), st.integers(2, 3))
+    pool = draw(st.one_of(st.lists(value, min_size=2, max_size=3, unique=True), chain))
+    wires = draw(st.integers(2, 5))
+    lengths = tuple(draw(st.sampled_from(pool)) for _ in range(wires))
+    budget = draw(st.integers(3 * wires, 3 * wires + (20 if wires < 4 else 10)))
+    return AllocationProblem(lengths, budget)
+
+
+@given(pooled_problems())
+@settings(max_examples=100, deadline=None)
+def test_greedy_equals_enumeration_on_repeated_lengths(problem):
+    fast = optimize_allocation(problem)
+    slow = enumerate_allocations(problem)
+    assert fast.sides == slow.sides
+    assert fast.total_area.hex() == slow.total_area.hex()
+
+
+@pytest.mark.parametrize("base, picks, budget", [
+    (0.1, (3, 0, 1), 10),
+    (3.0, (3, 1, 0, 2), 29),
+    (3.0, (3, 1, 0, 1, 2), 19),
+])
+def test_ulp_chains_match_enumeration(base, picks, budget):
+    """Lengths a few ulps apart, where correctly rounded and left-to-right
+    totals order the near-tie candidates differently."""
+    chain = ulp_chain(base, 4)
+    problem = AllocationProblem(tuple(chain[i] for i in picks), budget)
+    fast = optimize_allocation(problem)
+    slow = enumerate_allocations(problem)
+    assert fast.sides == slow.sides
+    assert fast.total_area.hex() == slow.total_area.hex()
 
 
 @st.composite
@@ -329,7 +418,7 @@ def count_work(monkeypatch):
 
 @pytest.mark.parametrize("lengths, budget", [
     ((1.0, 2.0, 3.0), 40),
-    ((1.0,) * 6, 25),  # equal wires: near-tie candidates are scored
+    ((1.0,) * 6, 25),  # equal wires: the near-tie check runs
     ((0.5, 1.0, 1.0, 7.3), 2000),
 ])
 def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_caches, lengths, budget):

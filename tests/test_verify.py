@@ -37,6 +37,12 @@ def test_shipped_problem_files_pass(path):
         assert check.deviation <= check.bound, check
 
 
+def test_membership_label_counts_its_samples():
+    query = _decode(json.loads((PROBLEMS / "bounds_three_shapes.json").read_text()))
+    names = [check.check for check in cross_check(query)]
+    assert names[0] == "interval membership (199 samples)"
+
+
 def _wrong_min(problem):
     result = minimize_partition(problem)
     return replace(result, total_area=result.total_area * 1.01)
