@@ -53,11 +53,11 @@ __all__ = [
 # geometry, decides which allocation has the largest float total.
 SIDE_LIMIT = 20_000
 
-# Most near-tie allocations the check may hold, the most any scan in this
-# package scores. The near-tie allocations are some of the compositions, so
-# no problem with at most this many compositions is refused. Only many nearly
-# equal, distinct wires come near it: k lengths an ulp apart sharing r extra
-# sides nearly tie C(k, r) ways.
+# Most near-tie allocations the check may score, the most any scan in this
+# package scores. It scores those ascending over each group of equal wires,
+# which are some of the compositions, so no problem with at most this many
+# compositions is refused. Only many nearly equal, distinct wires come near
+# it: k lengths an ulp apart sharing r extra sides nearly tie C(k, r) ways.
 CANDIDATE_LIMIT = 10**8
 
 # tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
@@ -228,7 +228,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
                 best[i] = n
         elif movable:
             reach = _reach(spans)
-            candidates = reach[0][budget]
+            candidates = _count_ascending(spans, budget, lengths)
             if candidates > CANDIDATE_LIMIT:
                 raise ResourceLimitError(
                     f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
@@ -257,6 +257,23 @@ def _reach(spans) -> list:
         reach.append(ways)
     reach.reverse()
     return reach
+
+
+def _count_ascending(spans, total, lengths) -> int:
+    """How many vectors _ascending yields. The count runs over the wires in
+    order of length, so each group of equal lengths is contiguous, keeping
+    the ways to reach each (sum, last count in the current group)."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    ways = {(0, 0): 1}
+    for i, j in zip(order, [None] + order):
+        grouped = j is not None and lengths[j] == lengths[i]
+        step = {}
+        for (made, last), count in ways.items():
+            for n in spans[i]:
+                if made + n <= total and (n >= last or not grouped):
+                    step[made + n, n] = step.get((made + n, n), 0) + count
+        ways = step
+    return sum(count for (made, _), count in ways.items() if made == total)
 
 
 def _ascending(spans, reach, total, lengths):

@@ -1,19 +1,22 @@
 """Deliberately naive brute-force references for the closed-form solvers.
 
 The partition oracles score every sample of a uniform lattice over the
-simplex of piece lengths, in lexicographic order, keeping the first best.
-They evaluate the area kernel once per distinct shape and lattice step
-(at most k*(res+1) calls, not one per shape and sample) and add each
-sample's areas left to right. A two-shape lattice is one run of samples,
-streamed without tables. The allocation oracle enumerates side assignments
-with plain nested loops via itertools.product. Nothing here shares logic
-with the closed forms beyond the area kernel itself, so agreement is evidence.
+simplex of piece lengths, in lexicographic order, keeping the first
+minimum and the first maximum: grid_extremes takes both from one pass, and
+grid_min and grid_max each return one of them. A pass evaluates the area
+kernel once per distinct shape and lattice step (at most k*(res+1) calls,
+not one per shape and sample) and adds each sample's areas left to right.
+It scores the lattice a run at a time; a two-shape lattice is one run,
+scored in blocks without tables, so memory stays flat. The allocation
+oracle enumerates side assignments with plain nested loops via
+itertools.product. Nothing here shares logic with the closed forms beyond
+the area kernel itself, so agreement is evidence.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import count, product, repeat, tee
-from operator import add, itemgetter, mul, truediv
+from itertools import product, repeat
+from operator import add, mul, sub, truediv
 
 from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult, total_area_for_allocation
@@ -25,12 +28,15 @@ __all__ = [
     "GridSpec",
     "grid_min",
     "grid_max",
+    "grid_extremes",
     "enumerate_allocations",
 ]
 
 # The lattice blows up combinatorially with the number of shapes.
 MAX_GRID_SHAPES = 6
 _SAMPLE_LIMIT = 10**8
+# Samples of a two-shape lattice scored at a time.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,38 +51,66 @@ class GridSpec:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
 
 
-def _steps(length: float, resolution: int, descending: bool = False):
-    """Piece lengths length*(c/resolution) for c = 0..resolution, lazily."""
-    counts = range(resolution, -1, -1) if descending else range(resolution + 1)
+def _steps(length: float, resolution: int, counts):
+    """Piece lengths length*(c/resolution) for each c of counts, lazily."""
     return map(mul, repeat(length), map(truediv, counts, repeat(resolution)))
 
 
-def _runs(tables, prefix, left, heads, pick):
-    """Yield (total, counts) for the first best sample of each run, in
-    lexicographic order.
+def _runs(tables, prefix, left, heads):
+    """Yield (heads, totals) for each run of the lattice, in lexicographic
+    order.
 
-    A run fixes the counts of all parts but the last two and holds the
-    samples (*head, j, left-j) for j = 0..left. It is scored in one pass over
-    the last two tables, and ``pick`` and ``list.index`` take its first
-    extremum. `heads` are the counts fixed so far, `prefix` their areas
-    added left to right, and `left` the steps still to hand out.
+    A run fixes the counts of all parts but the last two, the yielded heads,
+    and holds the samples (*heads, j, m-j) for j = 0..m, m = len(totals)-1.
+    It is scored in one pass over the last two tables. As arguments, `heads`
+    are the counts fixed so far, `prefix` their areas added left to right,
+    and `left` the steps still to hand out.
     """
     table, *rest = tables
     if len(rest) > 2:
         for c in range(left + 1):
-            yield from _runs(rest, prefix + table[c], left - c, heads + (c,), pick)
+            yield from _runs(rest, prefix + table[c], left - c, heads + (c,))
         return
     firsts, seconds = rest
     for c in range(left + 1):
         run_prefix = prefix + table[c]
-        run_left = left - c
-        totals = [run_prefix + a + b for a, b in zip(firsts, seconds[run_left::-1])]
-        best = pick(totals)
-        j = totals.index(best)
-        yield best, heads + (c, j, run_left - j)
+        yield heads + (c,), [run_prefix + a + b for a, b in zip(firsts, seconds[left - c::-1])]
 
 
-def _scan(problem: PartitionProblem, grid: GridSpec, want_max: bool) -> PartitionResult:
+def _pair_blocks(shapes, length, resolution):
+    """Yield ((start, first areas, second areas), totals) for each block of
+    a two-shape lattice: the samples (c, resolution-c) for c in
+    start..start+_BLOCK-1, so that memory stays flat at any resolution."""
+    first, second = shapes
+    for start in range(0, resolution + 1, _BLOCK):
+        counts = range(start, min(start + _BLOCK, resolution + 1))
+        firsts = list(map(area, repeat(first), _steps(length, resolution, counts)))
+        rests = map(sub, repeat(resolution), counts)
+        seconds = list(map(area, repeat(second), _steps(length, resolution, rests)))
+        yield (start, firsts, seconds), list(map(add, firsts, seconds))
+
+
+def _first_extremes(scored):
+    """(total, where, index) of the first minimum and of the first maximum
+    over the totals of each (where, totals) that scored yields.
+
+    Totals are sums of areas, never NaN, so they are totally ordered: the
+    first extreme of the first run that strictly beats the runs before it is
+    the first extreme of the whole lattice.
+    """
+    low = high = None
+    for where, totals in scored:
+        run_low, run_high = min(totals), max(totals)
+        if low is None or run_low < low[0]:
+            low = (run_low, where, totals.index(run_low))
+        if high is None or run_high > high[0]:
+            high = (run_high, where, totals.index(run_high))
+    return low, high
+
+
+def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
+    """[(total, counts, areas)] of the lattice's first minimum and first
+    maximum, in that order, from one pass in lexicographic order."""
     shapes = problem.shapes
     parts = len(shapes)
     if parts > MAX_GRID_SHAPES:
@@ -90,36 +124,52 @@ def _scan(problem: PartitionProblem, grid: GridSpec, want_max: bool) -> Partitio
         )
     length = problem.total_length
     resolution = grid.resolution
-    pick = max if want_max else min
+    found = []
     if parts == 2:
-        # A single run whose areas are each used once: stream it.
-        firsts, first_areas = tee(map(area, repeat(shapes[0]), _steps(length, resolution)))
-        seconds, second_areas = tee(
-            map(area, repeat(shapes[1]), _steps(length, resolution, descending=True))
-        )
-        stream = zip(map(add, firsts, seconds), count(), first_areas, second_areas)
-        total, j, *areas = pick(stream, key=itemgetter(0))
-        counts = (j, resolution - j)
-    else:
-        steps = list(_steps(length, resolution))
-        distinct = {s: list(map(area, repeat(s), steps)) for s in dict.fromkeys(shapes)}
-        tables = [distinct[s] for s in shapes]
-        total, counts = pick(_runs(tables, 0, resolution, (), pick), key=itemgetter(0))
-        areas = [table[c] for table, c in zip(tables, counts)]
+        for total, (start, firsts, seconds), j in _first_extremes(
+            _pair_blocks(shapes, length, resolution)
+        ):
+            c = start + j
+            found.append((total, (c, resolution - c), (firsts[j], seconds[j])))
+        return found
+    steps = list(_steps(length, resolution, range(resolution + 1)))
+    distinct = {s: list(map(area, repeat(s), steps)) for s in dict.fromkeys(shapes)}
+    tables = [distinct[s] for s in shapes]
+    for total, heads, j in _first_extremes(_runs(tables, 0, resolution, ())):
+        counts = heads + (j, resolution - sum(heads) - j)
+        found.append((total, counts, tuple(table[c] for table, c in zip(tables, counts))))
+    return found
+
+
+def _sample(problem: PartitionProblem, grid: GridSpec, extreme) -> PartitionResult:
+    """The PartitionResult of one (total, counts, areas) that _extremes found."""
+    total, counts, areas = extreme
     if not math.isfinite(total):
         raise ValueError("lattice totals are not finite (lengths beyond the float range)")
-    lengths = tuple(length * (c / resolution) for c in counts)
-    return PartitionResult(GRID_SAMPLE, lengths, tuple(areas), total)
+    length = problem.total_length
+    lengths = tuple(length * (c / grid.resolution) for c in counts)
+    return PartitionResult(GRID_SAMPLE, lengths, areas, total)
+
+
+def grid_extremes(
+    problem: PartitionProblem, grid: GridSpec
+) -> tuple[PartitionResult, PartitionResult]:
+    """(grid_min, grid_max) of the problem from one scan of the lattice.
+
+    Raises ValueError where either extreme's total is not finite.
+    """
+    low, high = _extremes(problem, grid)
+    return _sample(problem, grid, low), _sample(problem, grid, high)
 
 
 def grid_min(problem: PartitionProblem, grid: GridSpec) -> PartitionResult:
     """Smallest total area over the lattice; upper bound on the true minimum."""
-    return _scan(problem, grid, want_max=False)
+    return _sample(problem, grid, _extremes(problem, grid)[0])
 
 
 def grid_max(problem: PartitionProblem, grid: GridSpec) -> PartitionResult:
     """Largest total area over the lattice; lower bound on the true maximum."""
-    return _scan(problem, grid, want_max=True)
+    return _sample(problem, grid, _extremes(problem, grid)[1])
 
 
 def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:

@@ -1,7 +1,7 @@
 """Cross-checks of the solvers against the brute-force oracle.
 
 ``cross_check`` returns one ``Check`` record per comparison: a partition's
-closed-form minimum and vertex maximum against lattice scans, a bound
+closed-form minimum and vertex maximum against one lattice scan's, a bound
 query's intervals against direct samples and its endpoints against the
 threshold, and an allocation against plain enumeration. Tolerances are
 documented in the README's problem-file section.
@@ -15,7 +15,7 @@ from .allocation import AllocationProblem, optimize_allocation
 from .bounds import BoundQuery, solve_equal_perimeter
 from .extrema import PartitionProblem, maximize_partition, minimize_partition
 from .geometry import sigma
-from .oracle import GridSpec, enumerate_allocations, grid_max, grid_min
+from .oracle import GridSpec, enumerate_allocations, grid_extremes
 
 __all__ = ["Check", "cross_check"]
 
@@ -75,9 +75,8 @@ def _partition_checks(problem, resolution):
     if min(min_bound, max_bound) < sys.float_info.min:
         # Every area would round to zero or lose its digits: comparing them shows nothing.
         raise ValueError("areas underflow: lengths below the float range")
-    sampled_min = grid_min(problem, grid)
+    sampled_min, sampled_max = grid_extremes(problem, grid)
     min_gap = sampled_min.total_area - closed_min.total_area
-    sampled_max = grid_max(problem, grid)
     max_gap = abs(closed_max.total_area - sampled_max.total_area)
     slack = 1e-9 * closed_min.total_area
     label = f"vs grid (resolution {resolution})"

@@ -118,7 +118,7 @@ def test_resource_guard():
     assert optimize_allocation(AllocationProblem((1.0,) * 30, 105)).sides == (3,) * 15 + (4,) * 15
 
 
-def test_equal_wires_score_only_zero_sum_moves():
+def test_equal_wires_take_the_first_tie_unscored():
     # Seventeen equal wires and one extra side: 17 compositions in all, while
     # the ranges each wire may move over span 2**17 side vectors.
     lengths = (1.0,) * 17
@@ -160,6 +160,51 @@ def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch):
     result = optimize_allocation(AllocationProblem(lengths, 70))
     assert result.sides == best and result.total_area == best_total
     assert len(calls) <= 2 * len(lengths)
+
+
+def grouped_ascending_vectors(lengths, budget, prefix=()):
+    """Every side vector of the given sum with counts of at least 3, ascending
+    over each group of equal lengths, in lexicographic order."""
+    i = len(prefix)
+    if i == len(lengths):
+        if budget == 0:
+            yield prefix
+        return
+    low = max([3] + [n for n, x in zip(prefix, lengths) if x == lengths[i]])
+    for n in range(low, budget - 3 * (len(lengths) - i - 1) + 1):
+        yield from grouped_ascending_vectors(lengths, budget - n, prefix + (n,))
+
+
+@pytest.mark.parametrize("lengths", [
+    (1.0,) * 15 + (1 + 2**-52,) * 15,
+    (1.0, 1 + 2**-52) * 15,
+])
+def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
+    """Two groups of equal wires an ulp apart sharing fifteen extra sides:
+    C(30, 15) vectors lie in the near-tie box, but only 16 ascend over each
+    group; only those are scored, and only those count against the limit.
+    Permuting a group leaves a correctly rounded total unchanged, so the
+    winner ascends and a brute force over ascending vectors finds it."""
+    best_total, best = -math.inf, None
+    for sides in grouped_ascending_vectors(lengths, 105):
+        total = total_area_for_allocation(lengths, sides)
+        if total > best_total:
+            best_total, best = total, sides
+    result = optimize_allocation(AllocationProblem(lengths, 105))
+    assert result.sides == best
+    assert result.total_area == best_total
+
+
+def test_near_tie_count_matches_the_vectors_walked():
+    rng = random.Random(3)
+    for _ in range(2000):
+        wires = rng.randint(1, 6)
+        pool = (1.0, math.nextafter(1.0, 2.0), 2.0)[:rng.randint(1, 3)]
+        lengths = tuple(rng.choice(pool) for _ in range(wires))
+        spans = [range(low, low + rng.randint(1, 4)) for low in (rng.randint(3, 8) for _ in lengths)]
+        total = sum(span.start for span in spans) + rng.randint(0, 8)
+        walked = allocation._ascending(spans, allocation._reach(spans), total, lengths)
+        assert allocation._count_ascending(spans, total, lengths) == sum(1 for _ in walked)
 
 
 @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(3, 10_000)), min_size=1, max_size=12),

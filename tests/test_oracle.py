@@ -16,6 +16,7 @@ from wirecut import (
     PartitionProblem,
     ResourceLimitError,
     enumerate_allocations,
+    grid_extremes,
     grid_max,
     grid_min,
     minimize_partition,
@@ -202,6 +203,34 @@ def test_scans_match_per_sample_reference(scan):
         assert (result.lengths, result.per_shape_areas, result.total_area) == expected
 
 
+@given(lattice_scans())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_takes_both_extremes(scan):
+    problem, resolution = scan
+    grid = GridSpec(resolution)
+    both = grid_extremes(problem, grid)
+    assert repr(both) == repr((grid_min(problem, grid), grid_max(problem, grid)))
+    got = [(r.lengths, r.per_shape_areas, r.total_area) for r in both]
+    expected = [reference_scan(problem, resolution, want_max) for want_max in (False, True)]
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("shapes, extremes", [
+    # Mirror samples tie exactly across blocks.
+    ((5, 5), [(2.0, 2.0), (0.0, 4.0)]),
+    # The maximum is the last sample, alone in the last block.
+    ((4, 3), [None, (4.0, 0.0)]),
+])
+def test_two_shape_blocks_keep_the_first_extremes(shapes, extremes):
+    problem = PartitionProblem(4.0, shapes)
+    resolution = 2 * oracle._BLOCK
+    both = grid_extremes(problem, GridSpec(resolution))
+    for result, lengths in zip(both, extremes):
+        assert lengths is None or result.lengths == lengths
+    got = [(r.lengths, r.per_shape_areas, r.total_area) for r in both]
+    assert got == [reference_scan(problem, resolution, want_max) for want_max in (False, True)]
+
+
 @pytest.mark.parametrize("shapes, resolution", [
     ((4, 3), 500),
     ((3, 6, "circle"), 60),
@@ -222,6 +251,26 @@ def test_scan_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution
         scanner(problem, GridSpec(resolution))
         assert 0 < len(calls) <= len(shapes) * (resolution + 1)
         assert set(calls) == {parse_shape(s) for s in shapes}
+
+
+@pytest.mark.parametrize("shapes, resolution", [
+    ((4, 3), 500),
+    ((4, 3), 2500),
+    ((3, 6, "circle"), 60),
+    ((5, 5, 5), 30),
+    ((3, 4, 6, 8, 12, "circle"), 12),
+])
+def test_one_pass_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution):
+    calls = []
+
+    def counted(shape, perimeter):
+        calls.append(shape)
+        return area(shape, perimeter)
+
+    monkeypatch.setattr(oracle, "area", counted)
+    grid_extremes(PartitionProblem(9.0, shapes), GridSpec(resolution))
+    assert 0 < len(calls) <= len(shapes) * (resolution + 1)
+    assert set(calls) == {parse_shape(s) for s in shapes}
 
 
 def test_two_shape_scan_streams():
@@ -245,3 +294,26 @@ def test_non_finite_lattice_raises():
     assert math.isfinite(grid_min(edge, GridSpec(4)).total_area)
     with pytest.raises(ValueError, match="lattice totals are not finite"):
         grid_max(edge, GridSpec(4))
+
+
+def test_one_pass_streams_two_shapes():
+    problem = PartitionProblem(12.0, (4, 3))
+    tracemalloc.start()
+    try:
+        grid_extremes(problem, GridSpec(200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_one_pass_raises_where_either_extreme_is_not_finite():
+    for problem in (PartitionProblem(1e200, (3, 4)), PartitionProblem(1e200, (3, 4, 5))):
+        with pytest.raises(ValueError, match="lattice totals are not finite"):
+            grid_extremes(problem, GridSpec(4))
+    # The minimum alone is finite: grid_min returns it, the other two raise.
+    edge = PartitionProblem(1.5e154, (3, 4, 5))
+    assert math.isfinite(grid_min(edge, GridSpec(4)).total_area)
+    for scanner in (grid_max, grid_extremes):
+        with pytest.raises(ValueError, match="lattice totals are not finite"):
+            scanner(edge, GridSpec(4))

@@ -151,9 +151,9 @@ def random_intervals(rng, guard):
     return tuple(intervals)
 
 
-def test_membership_merge_matches_any_all_reference():
-    """The merge pass classifies every sample as the per-sample any/all scan
-    over the intervals does, so the bounds check counts the same violations."""
+def test_membership_bisection_matches_any_all_reference():
+    """Bisection classifies every sample as the per-sample any/all scan over
+    the intervals does, so the bounds check counts the same violations."""
     rng = random.Random(11)
     for _ in range(3000):
         guard = rng.choice([0.0, 1e-6, 0.05, 0.4])
