@@ -15,12 +15,14 @@ The result keeps the contract of the plain enumeration in the oracle: the
 largest total as computed in floating point and, on equal totals, the
 lexicographically smallest side sequence. Totals are correctly rounded
 (math.fsum; Shewchuk 1997), so equal wires trade counts at no change in
-total, and the first of such trades ascends over the group. Rounding can
+total, and the smallest of such trades ascends over the group. Rounding can
 reorder allocations whose exact totals lie within a few ulps of each other,
 so every allocation that close to the greedy cutoff and ascending over each
-group of equal wires is scored; where one group alone moves, by single
-sides, its counts are sorted and nothing is scored. CANDIDATE_LIMIT thus
-bites only on lengths that are distinct but within rounding of each other.
+group of equal wires is scored. One DP over the wires in order of length
+counts these and walks them back from the full sum, in no set order; of
+equal totals the smaller vector wins by comparison. Where one group alone
+moves, by single sides, its counts are sorted and nothing is scored, so
+CANDIDATE_LIMIT bites only on lengths distinct but within rounding.
 Where the float totals themselves overflow or underflow (lengths beyond
 about 1e154 or below 1e-154), that check still covers only allocations
 near the exact optimum, not every allocation whose total rounds the same.
@@ -221,86 +223,64 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
                  for n, r, a in zip(sides, removable, addable)]
         movable = [i for i, span in enumerate(spans) if len(span) > 1]
         # One length and two counts: one group of equal wires alone moves, by
-        # single sides, so every candidate trades its counts; the first ascends.
+        # single sides, so every candidate trades its counts; the smallest ascends.
         if len({(lengths[i], n) for i in movable for n in spans[i]}) == 2:
             group = [i for i, x in enumerate(lengths) if x == lengths[movable[0]]]
             for i, n in zip(group, sorted([best[i] for i in group])):
                 best[i] = n
         elif movable:
-            reach = _reach(spans)
-            candidates = _count_ascending(spans, budget, lengths)
-            if candidates > CANDIDATE_LIMIT:
-                raise ResourceLimitError(
-                    f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
-                )
-            # Lexicographic order, so the first of equal totals is the one kept;
-            # each total adds the areas as total_area_for_allocation does.
+            # Of equal totals the smallest vector is kept; each total adds
+            # the areas as total_area_for_allocation does.
             best_total = -math.inf
-            for candidate in _ascending(spans, reach, budget, lengths):
+            for candidate in _near_ties(spans, budget, lengths):
                 candidate_total = math.fsum(map(area, map(_polygon, candidate), lengths))
-                if candidate_total > best_total:
+                if candidate_total > best_total or candidate_total == best_total and candidate < best:
                     best, best_total = candidate, candidate_total
     areas = tuple(map(area, map(_polygon, best), lengths))
     terms = [_score(n, _cot(n), x) for n, x in zip(best, lengths)]
     return AllocationResult(tuple(best), areas, math.fsum(areas), tuple(map(sub, terms, terms[1:])))
 
 
-def _reach(spans) -> list:
-    """reach[i] maps each sum that one count from each of spans[i:] can make
-    to the number of ways to make it."""
-    reach = [{0: 1}]
-    for span in reversed(spans):
-        ways = {}
-        for total, count in reach[-1].items():
-            for n in span:
-                ways[total + n] = ways.get(total + n, 0) + count
-        reach.append(ways)
-    reach.reverse()
-    return reach
-
-
-def _count_ascending(spans, total, lengths) -> int:
-    """How many vectors _ascending yields. The count runs over the wires in
-    order of length, so each group of equal lengths is contiguous, keeping
-    the ways to reach each (sum, last count in the current group)."""
+def _near_ties(spans, total, lengths):
+    """Every vector taking one count from each span, summing to total and
+    ascending over each group of equal lengths, in no set order. One DP runs
+    over the wires in order of length, so each group is contiguous; layer p
+    maps each (sum, count) state after wire order[p] to the states before
+    it, so the walk back from the full sum takes no branch that fails."""
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
     ways = {(0, 0): 1}
-    for i, j in zip(order, [None] + order):
-        grouped = j is not None and lengths[j] == lengths[i]
-        step = {}
-        for (made, last), count in ways.items():
+    layers = []
+    for p, i in enumerate(order):
+        grouped = p > 0 and lengths[order[p - 1]] == lengths[i]
+        step, links = {}, {}
+        for state, count in ways.items():
+            made, last = state
             for n in spans[i]:
                 if made + n <= total and (n >= last or not grouped):
                     step[made + n, n] = step.get((made + n, n), 0) + count
+                    links.setdefault((made + n, n), []).append(state)
         ways = step
-    return sum(count for (made, _), count in ways.items() if made == total)
-
-
-def _ascending(spans, reach, total, lengths):
-    """Every vector taking one count from each span, summing to total and
-    ascending over each group of equal lengths, in lexicographic order. A
-    count is tried only if the spans after it can still close the sum."""
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)  # stable: groups in order
-    previous = {i: j for j, i in zip(order, order[1:]) if lengths[i] == lengths[j]}
-    last = len(spans) - 1
-    counts = [0] * (last + 2)  # counts[-1] = 0 floors each group's first wire
-    need = [total] + [0] * last  # need[i]: the sum spans[i:] must make
-    stack = [iter(spans[0])]
+        layers.append(links)
+    ends = [state for state in ways if state[0] == total]
+    candidates = sum(map(ways.__getitem__, ends))
+    if candidates > CANDIDATE_LIMIT:
+        raise ResourceLimitError(
+            f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
+        )
+    counts = [0] * len(order)
+    stack = [iter(ends)]  # stack[d] yields states after wire order[-1 - d]
     while stack:
-        i = len(stack) - 1
-        for n in stack[i]:
-            if need[i] - n in reach[i + 1]:
-                break
+        for state in stack[-1]:
+            break
         else:
             stack.pop()
             continue
-        counts[i] = n
-        if i == last:
-            yield tuple(counts[:-1])
+        p = len(order) - len(stack)
+        counts[order[p]] = state[1]
+        if p:
+            stack.append(iter(layers[p][state]))
         else:
-            need[i + 1] = need[i] - n
-            span = spans[i + 1]
-            stack.append(iter(range(max(span.start, counts[previous.get(i + 1, -1)]), span.stop)))
+            yield tuple(counts)
 
 
 def _run(weight: float, counts, low: float, high: float) -> int:

@@ -110,7 +110,7 @@ def _read(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read problem file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"problem file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("problem file must hold a JSON object")

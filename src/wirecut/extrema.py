@@ -42,6 +42,8 @@ class PartitionProblem:
 
     def __post_init__(self):
         _check_positive(self.total_length, "total length")
+        if isinstance(self.shapes, (str, bytes)):  # else "43" would be a square and a triangle
+            raise ValueError(f"shapes must be a sequence of shapes, not {self.shapes!r}")
         shapes = tuple(parse_shape(s) for s in self.shapes)
         if len(shapes) < 2:
             raise ValueError("a partition problem needs at least two shapes")

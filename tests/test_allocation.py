@@ -195,7 +195,10 @@ def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
     assert result.total_area == best_total
 
 
-def test_near_tie_count_matches_the_vectors_walked():
+def test_near_tie_count_matches_the_vectors_walked(monkeypatch):
+    """_near_ties yields, once each, the vectors a brute force over the spans
+    finds: summing to the total and ascending over each group of equal
+    lengths. The limit fires exactly when there are more of them than it."""
     rng = random.Random(3)
     for _ in range(2000):
         wires = rng.randint(1, 6)
@@ -203,8 +206,18 @@ def test_near_tie_count_matches_the_vectors_walked():
         lengths = tuple(rng.choice(pool) for _ in range(wires))
         spans = [range(low, low + rng.randint(1, 4)) for low in (rng.randint(3, 8) for _ in lengths)]
         total = sum(span.start for span in spans) + rng.randint(0, 8)
-        walked = allocation._ascending(spans, allocation._reach(spans), total, lengths)
-        assert allocation._count_ascending(spans, total, lengths) == sum(1 for _ in walked)
+        expected = {vector for vector in itertools.product(*spans) if sum(vector) == total
+                    and all(vector[i] <= vector[j] for i, j in itertools.combinations(range(wires), 2)
+                            if lengths[i] == lengths[j])}
+        limit = len(expected) - rng.randint(0, 1)
+        monkeypatch.setattr(allocation, "CANDIDATE_LIMIT", limit)
+        if len(expected) > limit:
+            with pytest.raises(ResourceLimitError, match=f"^{len(expected)} near-tie allocations"):
+                list(allocation._near_ties(spans, total, lengths))
+        else:
+            walked = list(allocation._near_ties(spans, total, lengths))
+            assert len(walked) == len(set(walked))
+            assert set(walked) == expected
 
 
 @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(3, 10_000)), min_size=1, max_size=12),

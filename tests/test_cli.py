@@ -453,7 +453,8 @@ def test_top_level_parser_handles_the_rest(capsys, argv, code, stream, text):
     ("verify", '{"mode": "spiral"}', "unknown problem mode 'spiral'"),
     ("min", None, "cannot read problem file"),
     ("min", "[1, 2]", "problem file must hold a JSON object"),
-], ids=["not-json", "unknown-mode", "missing-file", "not-an-object"])
+    ("verify", "[" * 200_000, "problem file is not valid JSON"),
+], ids=["not-json", "unknown-mode", "missing-file", "not-an-object", "nested-too-deep"])
 def test_malformed_json_exits_2(capsys, tmp_path, command, content, text):
     problem_file = tmp_path / "broken.json"
     if content is not None:
