@@ -7,27 +7,27 @@ concave in each n_i, so marginal analysis is exact (Fox 1966): the optimum
 holds the I - 3k largest marginal gains. A solve starts near the continuous
 optimum, n_i - 3 proportional to (L_i/L_max)**(2/3), hands out the sides
 the floors leave, then moves one side at a time from the smallest last gain
-to the largest next gain while that gains. Gains rank by (gain, -index), as
-a heap greedy takes them, so the result is exactly the greedy's; the repair
-takes O(k) moves whatever I (Hochbaum 1994; Ibaraki & Katoh 1988, ch. 4).
+to the largest next gain while that gains. Gains rank by (gain, index), so
+of equal gains the later wire takes the side; the repair takes O(k) moves
+whatever I (Hochbaum 1994; Ibaraki & Katoh 1988, ch. 4).
 
 The result keeps the contract of the plain enumeration in the oracle: the
 largest total as computed in floating point and, on equal totals, the
 lexicographically smallest side sequence. Totals are correctly rounded
 (math.fsum; Shewchuk 1997), so equal wires trade counts at no change in
-total, and the smallest of such trades ascends over the group. Rounding can
-reorder allocations whose exact totals lie within a few ulps of each other,
-so every allocation that close to the greedy cutoff and ascending over each
-group of equal wires is scored. One DP over the wires in order of length
-counts these and walks them back from the full sum, in no set order; of
-equal totals the smaller vector wins by comparison. Where one group alone
-moves, by single sides, its counts are sorted and nothing is scored, so
-CANDIDATE_LIMIT bites only on lengths distinct but within rounding.
-Where the float totals themselves overflow or underflow (lengths beyond
-about 1e154 or below 1e-154), that check still covers only allocations
-near the exact optimum, not every allocation whose total rounds the same.
-The continuous first-order conditions have no closed form; they are kept
-only as residual diagnostics on the integer winner.
+total; the greedy's vector ascends over each group of them, so it is the
+first exact optimum. Rounding can reorder allocations whose exact totals lie
+within a few ulps of each other, so every allocation that close to the
+greedy cutoff and ascending over each group of equal wires is scored. One DP
+over the wires in order of length counts these and walks them back from the
+full sum, in no set order; of equal totals the smaller vector wins by
+comparison. Where one group alone moves, by single sides, nothing is scored,
+so CANDIDATE_LIMIT bites only on lengths distinct but within rounding. Where
+the float totals themselves overflow or underflow (lengths beyond about
+1e154 or below 1e-154), that check still covers only allocations near the
+exact optimum, not every allocation whose total rounds the same. The
+continuous first-order conditions have no closed form; they are kept only as
+residual diagnostics on the integer winner.
 
 The excess, cotangent and Shape of each side count are memoized, so a
 process computes each once; import fills nothing and no result is cached.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, _check_count, _check_positive, area
+from .geometry import Shape, _check_count, _check_positive, _sequence, area
 
 __all__ = [
     "AllocationProblem",
@@ -83,7 +83,7 @@ class AllocationProblem:
     side_budget: int
 
     def __post_init__(self):
-        lengths = tuple(self.wire_lengths)
+        lengths = _sequence(self.wire_lengths, "wire lengths", "numbers")
         if len(lengths) < 2:
             raise ValueError("an allocation problem needs at least two wires")
         for x in lengths:
@@ -113,8 +113,8 @@ _polygon = functools.cache(Shape)
 
 def total_area_for_allocation(lengths, sides) -> float:
     """Total enclosed area when wire i is bent into a regular sides[i]-gon."""
-    lengths = tuple(lengths)
-    sides = tuple(sides)
+    lengths = _sequence(lengths, "lengths", "numbers")
+    sides = _sequence(sides, "sides", "side counts")
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
     # Only counts a solve can use are memoized; 4.0, True, [4] and the rest meet Shape's checks.
@@ -173,14 +173,15 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # Warm start near the continuous optimum, where n - 3 grows as w**(1/3).
     roots = [w ** (1 / 3) for w in weights]
     scale = (budget - 3 * wires) / sum(roots)
-    # Next and last gains, keyed (gain, -index) as a heap greedy ranks them;
-    # a wire at 3 sides has no last side to give.
+    # Next and last gains, keyed (gain, index): of equal gains the later wire
+    # takes the side, so the greedy's vector is the first exact optimum. A
+    # wire at 3 sides has no last side to give.
     sides, nexts, lasts = [], [], []
     for i, w in enumerate(weights):
         n = 3 + int(scale * roots[i])
         sides.append(n)
-        nexts.append((gain(w, n), -i))
-        lasts.append((gain(w, n - 1) if n > 3 else inf, -i))
+        nexts.append((gain(w, n), i))
+        lasts.append((gain(w, n - 1) if n > 3 else inf, i))
     # Hand out what the floors leave (under k sides), then move sides while that gains.
     left = budget - sum(sides)
     while True:
@@ -191,13 +192,13 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             bottom = min(lasts)
             if top <= bottom:
                 break
-            j = -bottom[1]
+            j = bottom[1]
             sides[j] -= 1
             nexts[j] = bottom
-            lasts[j] = (gain(weights[j], sides[j] - 1) if sides[j] > 3 else inf, -j)
-        i = -top[1]
+            lasts[j] = (gain(weights[j], sides[j] - 1) if sides[j] > 3 else inf, j)
+        i = top[1]
         sides[i] += 1
-        lasts[i], nexts[i] = top, (gain(weights[i], sides[i]), -i)
+        lasts[i], nexts[i] = top, (gain(weights[i], sides[i]), i)
     best_rejected, worst_accepted = top[0], bottom[0]
 
     # An allocation can tie or beat the greedy one in float only if its exact
@@ -207,7 +208,6 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # every side it adds at most that much less than the worst accepted side.
     total = sum(w / (4.0 * math.pi * (1.0 + _excess(n))) for w, n in zip(weights, sides))
     tolerance = (wires + 8) * 2.0**-50 * total
-    best = sides
     ceiling = best_rejected + tolerance
     if worst_accepted <= ceiling:  # else no wire has a side to give
         # A wire can only take as many sides as the others can give, and back;
@@ -221,24 +221,16 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         taken = sum(addable)
         spans = [range(n - min(r, taken - a), n + a + 1)
                  for n, r, a in zip(sides, removable, addable)]
-        movable = [i for i, span in enumerate(spans) if len(span) > 1]
-        # One length and two counts: one group of equal wires alone moves, by
-        # single sides, so every candidate trades its counts; the smallest ascends.
-        if len({(lengths[i], n) for i in movable for n in spans[i]}) == 2:
-            group = [i for i, x in enumerate(lengths) if x == lengths[movable[0]]]
-            for i, n in zip(group, sorted([best[i] for i in group])):
-                best[i] = n
-        elif movable:
-            # Of equal totals the smallest vector is kept; each total adds
-            # the areas as total_area_for_allocation does.
-            best_total = -math.inf
-            for candidate in _near_ties(spans, budget, lengths):
-                candidate_total = math.fsum(map(area, map(_polygon, candidate), lengths))
-                if candidate_total > best_total or candidate_total == best_total and candidate < best:
-                    best, best_total = candidate, candidate_total
-    areas = tuple(map(area, map(_polygon, best), lengths))
-    terms = [_score(n, _cot(n), x) for n, x in zip(best, lengths)]
-    return AllocationResult(tuple(best), areas, math.fsum(areas), tuple(map(sub, terms, terms[1:])))
+        # One length and at most two counts: one group of equal wires alone
+        # moves, by single sides, and the greedy's vector is the first tie.
+        if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
+            # Of equal totals the smaller vector wins; each total adds the
+            # areas as total_area_for_allocation does.
+            sides = min(_near_ties(spans, budget, lengths),
+                        key=lambda v: (-math.fsum(map(area, map(_polygon, v), lengths)), v))
+    areas = tuple(map(area, map(_polygon, sides), lengths))
+    terms = [_score(n, _cot(n), x) for n, x in zip(sides, lengths)]
+    return AllocationResult(tuple(sides), areas, math.fsum(areas), tuple(map(sub, terms, terms[1:])))
 
 
 def _near_ties(spans, total, lengths):
@@ -322,8 +314,8 @@ def _score(side, cot: float, length: float) -> float:
 def stationarity_residual(lengths, sides) -> tuple[float, ...]:
     """Consecutive differences of the per-wire scores; near-zero entries mean
     the continuous first-order conditions approximately hold."""
-    lengths = tuple(lengths)
-    sides = tuple(sides)
+    lengths = _sequence(lengths, "lengths", "numbers")
+    sides = _sequence(sides, "sides", "side counts")
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
     terms = [stationarity_term(n, x) for n, x in zip(sides, lengths)]

@@ -69,6 +69,8 @@ class BoundQuery:
     sense: str
 
     def __post_init__(self):
+        if not isinstance(self.problem, PartitionProblem):
+            raise TypeError(f"cannot query the bounds of a {type(self.problem).__name__}")
         _check_positive(self.threshold, "threshold")
         if self.sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")

@@ -11,7 +11,7 @@ diagnostics; they are minima of the restricted problem, not maxima.
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .geometry import Shape, _check_count, _check_positive, area, parse_shape, sigma
+from .geometry import Shape, _check_count, _check_positive, _sequence, area, parse_shape, sigma
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -42,9 +42,7 @@ class PartitionProblem:
 
     def __post_init__(self):
         _check_positive(self.total_length, "total length")
-        if isinstance(self.shapes, (str, bytes)):  # else "43" would be a square and a triangle
-            raise ValueError(f"shapes must be a sequence of shapes, not {self.shapes!r}")
-        shapes = tuple(parse_shape(s) for s in self.shapes)
+        shapes = tuple(map(parse_shape, _sequence(self.shapes, "shapes", "shapes")))
         if len(shapes) < 2:
             raise ValueError("a partition problem needs at least two shapes")
         object.__setattr__(self, "total_length", float(self.total_length))

@@ -128,3 +128,11 @@ def _check_count(value, what):
         except OverflowError:
             pass
     raise ValueError(f"{what} must be an integer a float can hold, got {value!r}")
+
+
+def _sequence(value, what, items):
+    """tuple(value), refusing a str, bytes or bytearray, whose characters or
+    bytes would otherwise be read as the items."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ValueError(f"{what} must be a sequence of {items}, not {value!r}")
+    return tuple(value)

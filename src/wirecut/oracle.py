@@ -6,11 +6,12 @@ minimum and the first maximum: grid_extremes takes both from one pass, and
 grid_min and grid_max each return one of them. A pass evaluates the area
 kernel once per distinct shape and lattice step (at most k*(res+1) calls,
 not one per shape and sample) and adds each sample's areas left to right.
-It scores the lattice a run at a time; a two-shape lattice is one run,
-scored in blocks without tables, so memory stays flat. The allocation
-oracle enumerates side assignments with plain nested loops via
-itertools.product. Nothing here shares logic with the closed forms beyond
-the area kernel itself, so agreement is evidence.
+A plain recursion over all parts but the last two hands the lattice to one
+keeper a run at a time; a two-shape lattice is one run, scored in blocks
+without tables, so memory stays flat. The allocation oracle enumerates
+side assignments with plain nested loops via itertools.product. Nothing
+here shares logic with the closed forms beyond the area kernel itself, so
+agreement is evidence.
 """
 
 import math
@@ -56,61 +57,43 @@ def _steps(length: float, resolution: int, counts):
     return map(mul, repeat(length), map(truediv, counts, repeat(resolution)))
 
 
-def _runs(tables, prefix, left, heads):
-    """Yield (heads, totals) for each run of the lattice, in lexicographic
-    order.
+def _keep(found, where, totals):
+    """Keep in found the first minimum and the first maximum, each as
+    (total, where, index), over runs passed in lexicographic order. Totals
+    are sums of areas, never NaN: the first extreme of the first run that
+    strictly beats the runs before it is the first extreme of the lattice."""
+    low, high = min(totals), max(totals)
+    if found[0] is None or low < found[0][0]:
+        found[0] = (low, where, totals.index(low))
+    if found[1] is None or high > found[1][0]:
+        found[1] = (high, where, totals.index(high))
 
-    A run fixes the counts of all parts but the last two, the yielded heads,
-    and holds the samples (*heads, j, m-j) for j = 0..m, m = len(totals)-1.
-    It is scored in one pass over the last two tables. As arguments, `heads`
-    are the counts fixed so far, `prefix` their areas added left to right,
-    and `left` the steps still to hand out.
+
+def _scan(tables, prefix, left, heads, found):
+    """Hand each run of the lattice to _keep, in lexicographic order.
+
+    A run fixes the counts of all parts but the last two, its heads, and
+    holds the samples (*heads, j, m-j) for j = 0..m, m = len(totals)-1. It is
+    scored in one pass over the last two tables. As arguments, `heads` are
+    the counts fixed so far, `prefix` their areas added left to right, and
+    `left` the steps still to hand out.
     """
     table, *rest = tables
     if len(rest) > 2:
         for c in range(left + 1):
-            yield from _runs(rest, prefix + table[c], left - c, heads + (c,))
+            _scan(rest, prefix + table[c], left - c, heads + (c,), found)
         return
     firsts, seconds = rest
     for c in range(left + 1):
         run_prefix = prefix + table[c]
-        yield heads + (c,), [run_prefix + a + b for a, b in zip(firsts, seconds[left - c::-1])]
-
-
-def _pair_blocks(shapes, length, resolution):
-    """Yield ((start, first areas, second areas), totals) for each block of
-    a two-shape lattice: the samples (c, resolution-c) for c in
-    start..start+_BLOCK-1, so that memory stays flat at any resolution."""
-    first, second = shapes
-    for start in range(0, resolution + 1, _BLOCK):
-        counts = range(start, min(start + _BLOCK, resolution + 1))
-        firsts = list(map(area, repeat(first), _steps(length, resolution, counts)))
-        rests = map(sub, repeat(resolution), counts)
-        seconds = list(map(area, repeat(second), _steps(length, resolution, rests)))
-        yield (start, firsts, seconds), list(map(add, firsts, seconds))
-
-
-def _first_extremes(scored):
-    """(total, where, index) of the first minimum and of the first maximum
-    over the totals of each (where, totals) that scored yields.
-
-    Totals are sums of areas, never NaN, so they are totally ordered: the
-    first extreme of the first run that strictly beats the runs before it is
-    the first extreme of the whole lattice.
-    """
-    low = high = None
-    for where, totals in scored:
-        run_low, run_high = min(totals), max(totals)
-        if low is None or run_low < low[0]:
-            low = (run_low, where, totals.index(run_low))
-        if high is None or run_high > high[0]:
-            high = (run_high, where, totals.index(run_high))
-    return low, high
+        totals = [run_prefix + a + b for a, b in zip(firsts, seconds[left - c::-1])]
+        _keep(found, heads + (c,), totals)
 
 
 def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
     """[(total, counts, areas)] of the lattice's first minimum and first
-    maximum, in that order, from one pass in lexicographic order."""
+    maximum, in that order, from one pass in lexicographic order. A
+    two-shape lattice is one run, scored in blocks of _BLOCK samples."""
     shapes = problem.shapes
     parts = len(shapes)
     if parts > MAX_GRID_SHAPES:
@@ -124,21 +107,26 @@ def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
         )
     length = problem.total_length
     resolution = grid.resolution
-    found = []
+    found = [None, None]
     if parts == 2:
-        for total, (start, firsts, seconds), j in _first_extremes(
-            _pair_blocks(shapes, length, resolution)
-        ):
-            c = start + j
-            found.append((total, (c, resolution - c), (firsts[j], seconds[j])))
-        return found
+        first, second = shapes
+        for start in range(0, resolution + 1, _BLOCK):
+            counts = range(start, min(start + _BLOCK, resolution + 1))
+            firsts = list(map(area, repeat(first), _steps(length, resolution, counts)))
+            rests = map(sub, repeat(resolution), counts)
+            seconds = list(map(area, repeat(second), _steps(length, resolution, rests)))
+            _keep(found, (start, firsts, seconds), list(map(add, firsts, seconds)))
+        return [(total, (start + j, resolution - start - j), (firsts[j], seconds[j]))
+                for total, (start, firsts, seconds), j in found]
     steps = list(_steps(length, resolution, range(resolution + 1)))
     distinct = {s: list(map(area, repeat(s), steps)) for s in dict.fromkeys(shapes)}
     tables = [distinct[s] for s in shapes]
-    for total, heads, j in _first_extremes(_runs(tables, 0, resolution, ())):
+    _scan(tables, 0, resolution, (), found)
+    extremes = []
+    for total, heads, j in found:
         counts = heads + (j, resolution - sum(heads) - j)
-        found.append((total, counts, tuple(table[c] for table, c in zip(tables, counts))))
-    return found
+        extremes.append((total, counts, tuple(table[c] for table, c in zip(tables, counts))))
+    return extremes
 
 
 def _sample(problem: PartitionProblem, grid: GridSpec, extreme) -> PartitionResult:

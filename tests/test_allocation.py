@@ -54,6 +54,11 @@ def test_total_area_validation():
         total_area_for_allocation((1.0, 1.0), (4, 2))
     with pytest.raises(ValueError):
         total_area_for_allocation((1.0, 1.0), (4, 4.0))
+    # Text and bytes are not sequences of numbers: b"ab" would be lengths 97 and 98.
+    for lengths, sides in ((b"ab", (3, 4)), ("12", (3, 4)), ((1.0, 1.0), b"\x04\x04"),
+                           (bytearray(b"ab"), (3, 4))):
+        with pytest.raises(ValueError, match="must be a sequence of"):
+            total_area_for_allocation(lengths, sides)
 
 
 def test_optimize_equal_wires_even_budget():
@@ -95,7 +100,8 @@ def test_lengths_validated():
 
 
 def test_lengths_not_coerced():
-    for bad in (("1", "2"), (True, 2.0), (1.0, False), (1.0, None), (1.0, 10**400)):
+    for bad in (("1", "2"), (True, 2.0), (1.0, False), (1.0, None), (1.0, 10**400),
+                b"\x01\x02\x03", bytearray(b"\x01\x02\x03")):
         with pytest.raises(ValueError):
             AllocationProblem(bad, 9)
     assert AllocationProblem((1, 2), 9).wire_lengths == (1.0, 2.0)
@@ -133,35 +139,6 @@ def test_equal_wires_take_the_first_tie_unscored():
     assert result.total_area == best_total
 
 
-def ascending_vectors(wires, budget, low=3):
-    """Every non-decreasing side vector of the given length and sum."""
-    if wires == 1:
-        if budget >= low:
-            yield (budget,)
-        return
-    for n in range(low, budget // wires + 1):
-        for rest in ascending_vectors(wires - 1, budget - n, n):
-            yield (n,) + rest
-
-
-def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch):
-    """Equal wires tie exactly under every permutation, so a brute force over
-    ascending vectors finds the winner, and the solve scores no permutation."""
-    lengths = (1.0,) * 20
-    best_total, best = -math.inf, None
-    for sides in ascending_vectors(20, 70):
-        total = total_area_for_allocation(lengths, sides)
-        if total > best_total:
-            best_total, best = total, sides
-    assert best == (3,) * 10 + (4,) * 10
-    calls = []
-    kernel = allocation.area
-    monkeypatch.setattr(allocation, "area", lambda *args: calls.append(args) or kernel(*args))
-    result = optimize_allocation(AllocationProblem(lengths, 70))
-    assert result.sides == best and result.total_area == best_total
-    assert len(calls) <= 2 * len(lengths)
-
-
 def grouped_ascending_vectors(lengths, budget, prefix=()):
     """Every side vector of the given sum with counts of at least 3, ascending
     over each group of equal lengths, in lexicographic order."""
@@ -173,6 +150,36 @@ def grouped_ascending_vectors(lengths, budget, prefix=()):
     low = max([3] + [n for n, x in zip(prefix, lengths) if x == lengths[i]])
     for n in range(low, budget - 3 * (len(lengths) - i - 1) + 1):
         yield from grouped_ascending_vectors(lengths, budget - n, prefix + (n,))
+
+
+@pytest.mark.parametrize("beside", [(), (7.0,)], ids=["alone", "beside_7"])
+@pytest.mark.parametrize("size, extra", [(size, extra) for size in (2, 5, 20) for extra in range(1, size)])
+def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch, size, extra, beside):
+    """Equal wires tie exactly under every permutation, so a brute force over
+    vectors ascending over the group finds the winner. Of equal gains the
+    later wire takes the side, so the greedy's own vector ascends and the
+    solve scores no candidate. A wire of length 7.0 beside the group takes
+    12 sides: its 12th adds more, and its 13th less, than a group wire's 4th."""
+    lengths = (1.0,) * size + beside
+    budget = 3 * size + extra + 12 * len(beside)
+    best_total, best = -math.inf, None
+    for sides in grouped_ascending_vectors(lengths, budget):
+        total = total_area_for_allocation(lengths, sides)
+        if total > best_total:
+            best_total, best = total, sides
+    assert best == (3,) * (size - extra) + (4,) * extra + (12,) * len(beside)
+
+    def refuse(*args):
+        raise AssertionError("near-tie candidates were scored")
+
+    monkeypatch.setattr(allocation, "_near_ties", refuse)
+    calls = []
+    kernel = allocation.area
+    monkeypatch.setattr(allocation, "area", lambda *args: calls.append(args) or kernel(*args))
+    result = optimize_allocation(AllocationProblem(lengths, budget))
+    assert result.sides == best and result.total_area == best_total
+    assert list(result.sides[:size]) == sorted(result.sides[:size])
+    assert len(calls) <= 2 * len(lengths)
 
 
 @pytest.mark.parametrize("lengths", [
@@ -416,6 +423,8 @@ def test_residual_shape():
     assert len(values) == 2
     with pytest.raises(ValueError):
         stationarity_residual((1.0, 2.0), (4,))
+    with pytest.raises(ValueError, match="must be a sequence of"):
+        stationarity_residual(b"\x01\x02", (4, 5))
 
 
 @st.composite

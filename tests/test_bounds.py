@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirecut import (
+    AllocationProblem,
     BoundQuery,
     PartitionProblem,
     feasibility_range,
@@ -111,6 +112,9 @@ def test_query_validation():
             BoundQuery(problem, bad, "lower")
     with pytest.raises(ValueError):
         BoundQuery(problem, 5.0, "between")
+    for bad in (None, 12, AllocationProblem((1.0, 2.0), 9)):
+        with pytest.raises(TypeError, match="cannot query the bounds of a"):
+            BoundQuery(bad, 1.0, "lower")
     for bad in (-2.0, True, 10**400):
         with pytest.raises(ValueError):
             threshold_roots(problem, bad)

@@ -273,7 +273,7 @@ def test_problem_validation():
     for bad in (True, False, "12", 10**400):
         with pytest.raises(ValueError):
             PartitionProblem(bad, (3, 4))
-    for bad in ("43", b"43"):
+    for bad in ("43", b"43", bytearray(b"43")):
         with pytest.raises(ValueError, match="shapes must be a sequence of shapes"):
             PartitionProblem(12.0, bad)
 
