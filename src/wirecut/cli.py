@@ -7,10 +7,13 @@ Problems come from inline flags or from a JSON problem file with the schema
      "threshold": 5.0, "sense": "lower" | "upper",   bounds only
      "lengths": [1.0, 2.0], "side_budget": 9}        allocation only
 
-Only this module reads it: a subcommand lays its inline flags over the
---file object (or over {"mode": m}) and decodes the result in `_decode`,
-and JSON output echoes the problem through `_encode`. Comma lists such as
---shapes 4,3 are flag syntax; in a file, shapes and lengths are JSON lists.
+Only this module reads it. `main` runs every subcommand through one
+pipeline: `_problem` lays the inline flags over the --file object (or over
+{"mode": m}; verify keeps its file's own mode) and decodes it in `_decode`,
+the subcommand's handler solves it and returns its table lines, JSON
+payload (problems echoed through `_encode`) and exit code, and `_emit`
+prints them. Comma lists such as --shapes 4,3 are flag syntax; in a file,
+shapes and lengths are JSON lists.
 The command table `_COMMANDS` gives each subcommand its mode, handler and
 extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
 `main` builds the parser on its first call and reuses it for the process.
@@ -76,7 +79,7 @@ def _decode(data: dict):
     """The PartitionProblem, BoundQuery or AllocationProblem a problem-file
     object describes."""
     mode = data.get("mode")
-    if mode not in _FIELDS:
+    if not isinstance(mode, str) or mode not in _FIELDS:
         raise ValueError(f"unknown problem mode {mode!r}")
     values = []
     for field, flag in _FIELDS[mode].items():
@@ -119,12 +122,12 @@ def _read(path: str) -> dict:
 
 def _problem(args):
     """The --file object (or an empty problem of the subcommand's mode) with
-    the inline flags laid over its fields, decoded."""
+    the inline flags laid over its fields, decoded; verify keeps its file's mode."""
     mode = args.mode
     data = _read(args.file) if args.file else {"mode": mode}
-    if data.get("mode") != mode:
+    if mode and data.get("mode") != mode:
         raise ValueError(f"problem file has mode {data.get('mode')!r}, expected {mode!r}")
-    for field, flag in _FIELDS[mode].items():
+    for field, flag in _FIELDS.get(mode, {}).items():
         value = getattr(args, flag[2:])
         if value is not None:
             split = _SPLIT.get(flag)
@@ -132,18 +135,18 @@ def _problem(args):
     return _decode(data)
 
 
-def _emit(args, lines: list, **payload):
+def _emit(args, lines: list, payload: dict):
     # Serialized for tables too, so that NaN and inf raise ValueError in both formats.
     try:
-        text = json.dumps(payload, indent=2 if args.format == "json" else None, allow_nan=False)
+        text = json.dumps({"command": args.command, **payload},
+                          indent=2 if args.format == "json" else None, allow_nan=False)
     except ValueError:
         raise ValueError("result is not a finite number "
                          "(lengths or areas beyond the float range)") from None
     print(text if args.format == "json" else "\n".join(lines))
 
 
-def _cmd_partition(args) -> int:
-    problem = _problem(args)
+def _cmd_partition(args, problem):
     if args.command == "min":
         result = minimize_partition(problem)
     else:
@@ -155,12 +158,10 @@ def _cmd_partition(args) -> int:
     for shape, length, shape_area in zip(problem.shapes, result.lengths, result.per_shape_areas):
         lines.append(f"{str(shape):>8} {_fmt(length):>10} {_fmt(shape_area):>10}")
     lines.append(f"{'total':>8} {_fmt(sum(result.lengths)):>10} {_fmt(result.total_area):>10}")
-    _emit(args, lines, command=args.command, problem=_encode(problem), result=vars(result))
-    return EXIT_OK
+    return lines, {"problem": _encode(problem), "result": vars(result)}, EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    query = _problem(args)
+def _cmd_bounds(args, query):
     problem = query.problem
     intervals = solve_equal_perimeter(query)
     roots = threshold_roots(problem, query.threshold)
@@ -172,19 +173,13 @@ def _cmd_bounds(args) -> int:
         f"{'threshold band':<18} [{_fmt(band.a_low)}, {_fmt(band.a_high)}]",
         f"{'roots':<18} " + (f"{_fmt(roots[0])}, {_fmt(roots[1])}" if roots else "none"),
         f"{'intervals':<18} "
-        + (
-            " ".join(f"({_fmt(lo)}, {_fmt(hi)})" for lo, hi in intervals.intervals)
-            if intervals.intervals
-            else "empty"
-        ),
+        + (" ".join(f"({_fmt(lo)}, {_fmt(hi)})" for lo, hi in intervals.intervals) or "empty"),
     ]
     result = {"domain": intervals.domain, "roots": roots, "intervals": intervals.intervals}
-    _emit(args, lines, command="bounds", problem=_encode(query), result=result | vars(band))
-    return EXIT_OK
+    return lines, {"problem": _encode(query), "result": result | vars(band)}, EXIT_OK
 
 
-def _cmd_allocate(args) -> int:
-    problem = _problem(args)
+def _cmd_allocate(args, problem):
     result = optimize_allocation(problem)
     lines = [f"{'wire':>6} {'length':>10} {'sides':>7} {'area':>10}"]
     for i, (length, n, wire_area) in enumerate(
@@ -192,15 +187,12 @@ def _cmd_allocate(args) -> int:
     ):
         lines.append(f"{i:>6} {_fmt(length):>10} {n:>7} {_fmt(wire_area):>10}")
     lines.append(f"{'total':>6} {'':>10} {sum(result.sides):>7} {_fmt(result.total_area):>10}")
-    lines.append(
-        "residuals " + (" ".join(_fmt(r) for r in result.residuals) if result.residuals else "-")
-    )
-    _emit(args, lines, command="allocate", problem=_encode(problem), result=vars(result))
-    return EXIT_OK
+    lines.append("residuals " + (" ".join(map(_fmt, result.residuals)) or "-"))
+    return lines, {"problem": _encode(problem), "result": vars(result)}, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    checks = cross_check(_decode(_read(args.file)), args.resolution)
+def _cmd_verify(args, problem):
+    checks = cross_check(problem, args.resolution)
     all_ok = all(item.ok for item in checks)
     lines = [
         f"{item.check:<40} deviation {item.deviation:.3e} "
@@ -208,9 +200,8 @@ def _cmd_verify(args) -> int:
         for item in checks
     ]
     lines.append("verification " + ("passed" if all_ok else "FAILED"))
-    checks = [vars(item) for item in checks]
-    _emit(args, lines, command="verify", file=args.file, checks=checks, ok=all_ok)
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    payload = {"file": args.file, "checks": [vars(item) for item in checks], "ok": all_ok}
+    return lines, payload, EXIT_OK if all_ok else EXIT_MISMATCH
 
 
 # Each subcommand: the mode whose problem-field flags it takes (verify reads
@@ -269,7 +260,9 @@ def main(argv=None) -> int:
     command = _parser.commands.get(argv[0]) if argv else None
     args = command.parse_args(argv[1:]) if command else _parser.parse_args(argv)
     try:
-        return args.handler(args)
+        lines, payload, code = args.handler(args, _problem(args))
+        _emit(args, lines, payload)
+        return code
     except (InfeasibleBudgetError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InfeasibleBudgetError):

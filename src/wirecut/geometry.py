@@ -132,7 +132,8 @@ def _check_count(value, what):
 
 def _sequence(value, what, items):
     """tuple(value), refusing a str, bytes or bytearray, whose characters or
-    bytes would otherwise be read as the items."""
-    if isinstance(value, (str, bytes, bytearray)):
+    bytes would otherwise be read as the items, and a set, frozenset or dict,
+    whose order is not the order written (a dict would give its keys)."""
+    if isinstance(value, (str, bytes, bytearray, set, frozenset, dict)):
         raise ValueError(f"{what} must be a sequence of {items}, not {value!r}")
     return tuple(value)

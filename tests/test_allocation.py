@@ -55,8 +55,10 @@ def test_total_area_validation():
     with pytest.raises(ValueError):
         total_area_for_allocation((1.0, 1.0), (4, 4.0))
     # Text and bytes are not sequences of numbers: b"ab" would be lengths 97 and 98.
+    # Sets and dicts have no written order, and a dict would give its keys.
     for lengths, sides in ((b"ab", (3, 4)), ("12", (3, 4)), ((1.0, 1.0), b"\x04\x04"),
-                           (bytearray(b"ab"), (3, 4))):
+                           (bytearray(b"ab"), (3, 4)), ({2.0, 1.0}, (4, 3)),
+                           (frozenset({2.0, 1.0}), (4, 3)), ((1.0, 2.0), {4: 0, 3: 0})):
         with pytest.raises(ValueError, match="must be a sequence of"):
             total_area_for_allocation(lengths, sides)
 
@@ -101,10 +103,12 @@ def test_lengths_validated():
 
 def test_lengths_not_coerced():
     for bad in (("1", "2"), (True, 2.0), (1.0, False), (1.0, None), (1.0, 10**400),
-                b"\x01\x02\x03", bytearray(b"\x01\x02\x03")):
+                b"\x01\x02\x03", bytearray(b"\x01\x02\x03"), {2.0, 1.0}, frozenset({2.0, 1.0}),
+                {2.0: "a", 1.0: "b"}):
         with pytest.raises(ValueError):
             AllocationProblem(bad, 9)
-    assert AllocationProblem((1, 2), 9).wire_lengths == (1.0, 2.0)
+    for good in ((1, 2), [1, 2], range(1, 3), (x for x in (1, 2))):
+        assert AllocationProblem(good, 9).wire_lengths == (1.0, 2.0)
 
 
 def test_resource_guard():
@@ -425,6 +429,8 @@ def test_residual_shape():
         stationarity_residual((1.0, 2.0), (4,))
     with pytest.raises(ValueError, match="must be a sequence of"):
         stationarity_residual(b"\x01\x02", (4, 5))
+    with pytest.raises(ValueError, match="must be a sequence of"):
+        stationarity_residual({2.0, 1.0}, (4, 3))
 
 
 @st.composite

@@ -145,6 +145,25 @@ def test_verify_json_reports_checks(capsys):
     assert all(check["ok"] for check in payload["checks"])
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["min"], "partition_square_triangle.json"),
+    (["max"], "partition_six_shapes.json"),
+    (["max", "--paper-face-max"], "partition_square_triangle.json"),
+    (["bounds"], "bounds_three_shapes.json"),
+    (["allocate"], "allocation_two_wires.json"),
+    (["verify"], "partition_square_triangle.json"),
+], ids=["min", "max", "max-paper-face-max", "bounds", "allocate", "verify"])
+def test_json_payload_keys(capsys, argv, name):
+    code, out, _ = run(capsys, *argv, "--file", str(PROBLEMS / name), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    if argv[0] == "verify":
+        assert list(payload) == ["command", "file", "checks", "ok"]
+    else:
+        assert list(payload) == ["command", "problem", "result"]
+    assert payload["command"] == argv[0]
+
+
 def test_invalid_length_exits_2(capsys):
     code, _, err = run(capsys, "min", "--length", "-3", "--shapes", "4,3")
     assert code == 2
@@ -454,7 +473,10 @@ def test_top_level_parser_handles_the_rest(capsys, argv, code, stream, text):
     ("min", None, "cannot read problem file"),
     ("min", "[1, 2]", "problem file must hold a JSON object"),
     ("verify", "[" * 200_000, "problem file is not valid JSON"),
-], ids=["not-json", "unknown-mode", "missing-file", "not-an-object", "nested-too-deep"])
+    ("verify", '{"mode": ["partition"]}', "unknown problem mode ['partition']"),
+    ("verify", '{"mode": {"a": 1}}', "unknown problem mode {'a': 1}"),
+], ids=["not-json", "unknown-mode", "missing-file", "not-an-object", "nested-too-deep",
+        "list-mode", "object-mode"])
 def test_malformed_json_exits_2(capsys, tmp_path, command, content, text):
     problem_file = tmp_path / "broken.json"
     if content is not None:

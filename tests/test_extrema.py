@@ -273,9 +273,11 @@ def test_problem_validation():
     for bad in (True, False, "12", 10**400):
         with pytest.raises(ValueError):
             PartitionProblem(bad, (3, 4))
-    for bad in ("43", b"43", bytearray(b"43")):
+    for bad in ("43", b"43", bytearray(b"43"), {4, 3}, frozenset({4, "circle"}), {4: "a", 3: "b"}):
         with pytest.raises(ValueError, match="shapes must be a sequence of shapes"):
             PartitionProblem(12.0, bad)
+    for good in ([4, 3], (4, 3), range(4, 2, -1), (n for n in (4, 3))):
+        assert PartitionProblem(12.0, good).shapes == (Shape(4), Shape(3))
 
 
 def test_total_area_requires_matching_lengths():

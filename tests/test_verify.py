@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wirecut import (
     AllocationProblem,
+    BoundQuery,
     Check,
     PartitionProblem,
     cross_check,
@@ -109,6 +110,22 @@ def test_underflowing_allocation_raises():
     disagree on rounding noise alone."""
     with pytest.raises(ValueError, match="areas underflow: lengths below the float range"):
         cross_check(AllocationProblem((1e-170, 1e-170), 20))
+
+
+@pytest.mark.parametrize("sense", ["lower", "upper"])
+@pytest.mark.parametrize("length, threshold, raises", [(1e-160, 4.5e-322, True),
+                                                       (1e-150, 4.5e-302, False)])
+def test_underflowing_bound_query_raises(length, threshold, raises, sense):
+    """At L = 1e-160 the threshold band is [2.7e-322, 6.3e-322]: the sampled
+    totals are subnormal and hold a digit or two, too few to compare with
+    the threshold. At L = 1e-150 the smallest total is 2.7e-302, a normal
+    float."""
+    query = BoundQuery(PartitionProblem(length, (3, 4)), threshold, sense)
+    if raises:
+        with pytest.raises(ValueError, match="areas underflow: lengths below the float range"):
+            cross_check(query)
+    else:
+        assert all(check.ok for check in cross_check(query))
 
 
 @pytest.mark.parametrize("lengths", [(1e-150, 1e-150), (1.0, 1e-170)])
