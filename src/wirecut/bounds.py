@@ -22,7 +22,7 @@ constrained minimum or above the domain supremum.
 import math
 from dataclasses import dataclass
 
-from .extrema import PartitionProblem, total_area
+from .extrema import PartitionProblem
 from .geometry import _check_positive, sigma
 
 __all__ = [
@@ -112,14 +112,29 @@ def _line(problem: PartitionProblem, threshold: float = 0.0):
 
 def shared_perimeter_total(problem: PartitionProblem, x: float) -> float:
     """Directly evaluated total area at shared perimeter x (no quadratic)."""
-    k = len(problem.shapes) - 1
+    _check_positive(x, "perimeter", allow_zero=True)
+    return _line_totals(problem, [x])[0]
+
+
+def _line_totals(problem: PartitionProblem, xs) -> list[float]:
+    """The direct total at each shared perimeter x of xs, as total_area
+    gives it for lengths [x]*k + [L - k*x], bit for bit: each shape's
+    4*sigma is taken once, and each total adds the areas left to right.
+    Raises ValueError where L - k*x is negative beyond roundoff."""
+    *shared, last = [4.0 * sigma(s) for s in problem.shapes]
+    k = len(shared)
     length = problem.total_length
-    last = length - k * x
-    # evaluating at the domain endpoint x = L/k can leave roundoff debris
-    if last < 0.0 and last > -1e-9 * length:
-        last = 0.0
-    lengths = [x] * k + [last]
-    return total_area(problem.shapes, lengths)
+    totals = []
+    for x in xs:
+        rest = length - k * x
+        if rest < 0.0:
+            # Evaluating at the domain endpoint x = L/k can leave roundoff
+            # debris; beyond that, the last perimeter is refused.
+            if rest <= -1e-9 * length:
+                _check_positive(rest, "perimeter", allow_zero=True)
+            rest = 0.0
+        totals.append(sum([x * x / w for w in shared] + [rest * rest / last]))
+    return totals
 
 
 def threshold_roots(problem: PartitionProblem, threshold: float):

@@ -65,9 +65,10 @@ class PartitionResult:
 
 
 def total_area(shapes, lengths) -> float:
-    """Total area when lengths[i] is bent into shapes[i]; no sum constraint."""
-    shapes = tuple(shapes)
-    lengths = tuple(lengths)
+    """Total area when lengths[i] is bent into shapes[i]; no sum constraint.
+    Shapes are read as PartitionProblem reads them."""
+    shapes = tuple(map(parse_shape, _sequence(shapes, "shapes", "shapes")))
+    lengths = _sequence(lengths, "lengths", "numbers")
     if len(shapes) != len(lengths):
         raise ValueError("need exactly one length per shape")
     return sum(area(s, x) for s, x in zip(shapes, lengths))

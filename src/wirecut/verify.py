@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .allocation import AllocationProblem, optimize_allocation
-from .bounds import BoundQuery, solve_equal_perimeter
+from .bounds import BoundQuery, _line_totals, solve_equal_perimeter
 from .extrema import PartitionProblem, maximize_partition, minimize_partition
 from .geometry import sigma
 from .oracle import GridSpec, enumerate_allocations, grid_extremes
@@ -41,10 +41,12 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     resolution sets the lattice steps of a partition scan (at least 2); by
     default it follows the shape count. Other problems take no resolution
     and raise ValueError when given one. Raises ResourceLimitError where the
-    oracle's scan would be too large, and ValueError where a partition's
-    check bound, a bound query's smallest sampled total or an allocation's
-    best total falls below the smallest normal float, since its areas then
-    compare as zeros or lose digits.
+    oracle's scan would be too large, and ValueError, before comparing
+    anything, where the areas a check compares (a partition's check bounds,
+    a bound query's sampled totals, an allocation's best total) fall below
+    the smallest normal float, "areas underflow", where they round to zero
+    or lose digits, or are infinite, "areas overflow", where they compare
+    equal whatever their true values.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)
@@ -56,12 +58,21 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     if isinstance(problem, BoundQuery):
         return _bound_checks(problem)
     fast = optimize_allocation(problem)
-    if fast.total_area < sys.float_info.min:
-        raise ValueError("areas underflow: lengths below the float range")
+    _comparable((fast.total_area,))
     slow = enumerate_allocations(problem)
     gap = abs(fast.total_area - slow.total_area)
     same = fast.sides == slow.sides and fast.total_area == slow.total_area
     return (Check("optimizer vs plain enumeration", gap, 0.0, same),)
+
+
+def _comparable(values):
+    """Refuse areas that floats cannot compare: below the smallest normal
+    float they round to zero or lose digits, and an infinite one equals
+    every other whatever its true value."""
+    if min(values) < sys.float_info.min:
+        raise ValueError("areas underflow: lengths below the float range")
+    if max(values) > sys.float_info.max:
+        raise ValueError("areas overflow: lengths beyond the float range")
 
 
 def _partition_checks(problem, resolution):
@@ -73,9 +84,7 @@ def _partition_checks(problem, resolution):
     closed_min = minimize_partition(problem)
     closed_max = maximize_partition(problem)
     max_bound = 1e-9 * closed_max.total_area
-    if min(min_bound, max_bound) < sys.float_info.min:
-        # Every area would round to zero or lose its digits: comparing them shows nothing.
-        raise ValueError("areas underflow: lengths below the float range")
+    _comparable((min_bound, max_bound))
     sampled_min, sampled_max = grid_extremes(problem, grid)
     min_gap = sampled_min.total_area - closed_min.total_area
     max_gap = abs(closed_max.total_area - sampled_max.total_area)
@@ -88,11 +97,10 @@ def _partition_checks(problem, resolution):
 
 
 def _bound_checks(query):
-    problem = query.problem
     threshold = query.threshold
     intervals = solve_equal_perimeter(query)
     domain_hi = intervals.domain[1]
-    guard = 1e-6 * problem.total_length
+    guard = 1e-6 * query.problem.total_length
     samples = 200
     xs = [domain_hi * i / samples for i in range(1, samples)]
     edges = [
@@ -101,10 +109,8 @@ def _bound_checks(query):
         for edge in (lo, hi)
         if guard < edge < domain_hi - guard
     ]
-    totals = _shared_totals(problem, xs + edges)
-    if min(totals) < sys.float_info.min:
-        # Subnormal totals hold too few digits to compare against the threshold.
-        raise ValueError("areas underflow: lengths below the float range")
+    totals = _line_totals(query.problem, xs + edges)
+    _comparable(totals)
 
     violations = 0
     for total, (inside, clear_outside) in zip(totals, _membership(xs, intervals.intervals, guard)):
@@ -134,17 +140,3 @@ def _membership(xs, intervals, guard):
         start, stop = bisect_left(xs, lo - guard), bisect_right(xs, hi + guard)
         clear[start:stop] = [False] * (stop - start)
     return zip(inside, clear)
-
-
-def _shared_totals(problem, xs) -> list[float]:
-    """shared_perimeter_total(problem, x) for each x in (0, L/k), bit for
-    bit: each shape's 4*sigma is taken once, and each total adds the same
-    areas, left to right, as total_area does."""
-    *shared, last = [4.0 * sigma(s) for s in problem.shapes]
-    k = len(shared)
-    length = problem.total_length
-    totals = []
-    for x in xs:
-        rest = length - k * x
-        totals.append(sum([x * x / w for w in shared] + [rest * rest / last]))
-    return totals

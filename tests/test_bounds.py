@@ -19,6 +19,7 @@ from wirecut import (
     solve_equal_perimeter,
     solve_two_polygon,
     threshold_roots,
+    total_area,
 )
 
 SHAPE_POOL = list(range(3, 13)) + ["circle"]
@@ -255,6 +256,20 @@ def test_shared_perimeter_total_direct():
     sigma3 = 3 * math.sqrt(3)
     by_hand = x * x / 16 + x * x / (4 * sigma3) + (10 - 2 * x) ** 2 / (4 * math.pi)
     assert shared_perimeter_total(problem, x) == pytest.approx(by_hand, rel=1e-12)
+
+
+def test_shared_perimeter_total_far_end_and_refusals():
+    """At x = L/k, where L - k*x is roundoff debris below zero, the last
+    piece is empty; beyond the far end, and for an x that is not a number,
+    ValueError."""
+    problem = PartitionProblem(29.10391729003553, (4, 3, 5, "circle"))
+    far = problem.total_length / 3
+    assert problem.total_length - 3 * far < 0.0
+    assert shared_perimeter_total(problem, far) == total_area(problem.shapes, [far] * 3 + [0.0])
+    with pytest.raises(ValueError, match="perimeter must be a non-negative finite number"):
+        shared_perimeter_total(problem, far * 1.01)
+    with pytest.raises(ValueError, match="perimeter must be a non-negative finite number, got '1'"):
+        shared_perimeter_total(problem, "1")
 
 
 def test_vertex_max_dominates_line():

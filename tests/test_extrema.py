@@ -283,3 +283,17 @@ def test_problem_validation():
 def test_total_area_requires_matching_lengths():
     with pytest.raises(ValueError):
         total_area((Shape(4), Shape(3)), (1.0,))
+
+
+def test_total_area_reads_shapes_and_lengths_as_sequences():
+    """Shapes are read as PartitionProblem reads them; a str, bytes, set,
+    frozenset or dict is refused as shapes or as lengths."""
+    lengths = (1.0, 2.0, 3.0)
+    assert total_area((4, 3, "circle"), lengths) == total_area((Shape(4), Shape(3), CIRCLE), lengths)
+    assert total_area([4, 3], [1.0, 2.0]) == total_area((Shape(4), Shape(3)), (1.0, 2.0))
+    for bad in ("43", b"43", {4, 3}, frozenset({4, 3}), {4: 1.0, 3: 2.0}):
+        with pytest.raises(ValueError, match="shapes must be a sequence of shapes"):
+            total_area(bad, (1.0, 2.0))
+    for bad in ("12", b"12", {1.0, 2.0}, frozenset({1.0, 2.0}), {1.0: 0, 2.0: 0}):
+        with pytest.raises(ValueError, match="lengths must be a sequence of numbers"):
+            total_area((4, 3), bad)

@@ -18,12 +18,13 @@ from wirecut import (
     maximize_partition,
     minimize_partition,
     optimize_allocation,
-    shared_perimeter_total,
     solve_equal_perimeter,
+    total_area,
 )
 from wirecut import verify
+from wirecut.bounds import _line_totals
 from wirecut.cli import _decode, main
-from wirecut.verify import _membership, _shared_totals
+from wirecut.verify import _membership
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -134,6 +135,36 @@ def test_allocation_with_normal_best_total_passes(lengths):
     assert check.ok, check
 
 
+@pytest.mark.parametrize("length, shapes, threshold, sense", [
+    (2e154, (4, 3), 3e307, "lower"),
+    (2e154, (4, 3), 3e307, "upper"),
+    (1e160, (3, 4), 1e308, "lower"),
+    (1e160, (3, 4), 1e308, "upper"),
+    (1.7e154, (3, 4, 6), 1e307, "lower"),
+])
+def test_overflowing_bound_query_raises(length, shapes, threshold, sense):
+    """At L = 2e154 every total along the line is at most 2.5e307, but the
+    last piece's perimeter squared overflows near x = 0, so the intervals
+    would fail on infinite totals; at 1e160 every sampled total is inf and
+    at 1.7e154 with three shapes some are, where the check would pass
+    whatever the intervals were."""
+    query = BoundQuery(PartitionProblem(length, shapes), threshold, sense)
+    with pytest.raises(ValueError, match="areas overflow: lengths beyond the float range"):
+        cross_check(query)
+
+
+def test_overflowing_partition_raises_before_the_scan(monkeypatch):
+    """At L = 1e200 the maximum's area is inf, so the partition is refused
+    without scanning the lattice."""
+
+    def scan(problem, grid):
+        raise AssertionError("the lattice was scanned")
+
+    monkeypatch.setattr(verify, "grid_extremes", scan)
+    with pytest.raises(ValueError, match="areas overflow: lengths beyond the float range"):
+        cross_check(PartitionProblem(1e200, (3, 4)))
+
+
 @st.composite
 def bound_samples(draw):
     """A partition of 2..6 shapes and points across its shared-perimeter
@@ -148,10 +179,12 @@ def bound_samples(draw):
 
 @given(bound_samples())
 @settings(max_examples=200, deadline=None)
-def test_bound_check_totals_match_shared_perimeter_total(sample):
+def test_bound_check_totals_match_total_area(sample):
     problem, xs = sample
-    expected = [shared_perimeter_total(problem, x).hex() for x in xs]
-    assert [total.hex() for total in _shared_totals(problem, xs)] == expected
+    k = len(problem.shapes) - 1
+    length = problem.total_length
+    expected = [total_area(problem.shapes, [x] * k + [length - k * x]).hex() for x in xs]
+    assert [total.hex() for total in _line_totals(problem, xs)] == expected
 
 
 
