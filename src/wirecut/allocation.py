@@ -106,6 +106,11 @@ class AllocationResult:
     total_area: float
     residuals: tuple[float, ...]
 
+    # One dict update in place of the generated __init__'s call per field.
+    def __init__(self, sides, per_wire_areas, total_area, residuals):
+        self.__dict__.update(sides=sides, per_wire_areas=per_wire_areas,
+                             total_area=total_area, residuals=residuals)
+
 
 # Shape(n) for each side count a solve uses, built once per process.
 _polygon = functools.cache(Shape)
@@ -225,9 +230,11 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         # moves, by single sides, and the greedy's vector is the first tie.
         if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
             # Of equal totals the smaller vector wins; each total adds the
-            # areas as total_area_for_allocation does.
+            # areas as total_area_for_allocation does, each area taken once
+            # per wire and count.
+            tables = [{n: area(_polygon(n), x) for n in span} for x, span in zip(lengths, spans)]
             sides = min(_near_ties(spans, budget, lengths),
-                        key=lambda v: (-math.fsum(map(area, map(_polygon, v), lengths)), v))
+                        key=lambda v: (-math.fsum(map(dict.__getitem__, tables, v)), v))
     areas = tuple(map(area, map(_polygon, sides), lengths))
     terms = [_score(n, _cot(n), x) for n, x in zip(sides, lengths)]
     return AllocationResult(tuple(sides), areas, math.fsum(areas), tuple(map(sub, terms, terms[1:])))

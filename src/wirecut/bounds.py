@@ -51,6 +51,10 @@ class IntervalSet:
     intervals: tuple[tuple[float, float], ...]
     domain: tuple[float, float]
 
+    # One dict update in place of the generated __init__'s call per field.
+    def __init__(self, intervals, domain):
+        self.__dict__.update(intervals=intervals, domain=domain)
+
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -94,16 +98,27 @@ class FeasibilityRange:
     l_high: float | None = None
     x_hat: float | None = None
 
+    # One dict update in place of the generated __init__'s call per field.
+    def __init__(self, a_low, a_high, l_low=None, l_high=None, x_hat=None):
+        self.__dict__.update(a_low=a_low, a_high=a_high, l_low=l_low, l_high=l_high, x_hat=x_hat)
 
-def _line(problem: PartitionProblem, threshold: float = 0.0):
-    """(s, a, b, c, discriminant): the total along the shared line less the
-    threshold A is a*v**2 + b*v + c in units of s = max(L, sqrt(A)), with
-    v = x/s and areas over s**2, where neither side overflows; b < 0 < a."""
-    k = len(problem.shapes) - 1
-    shared = sum(1.0 / sigma(s) for s in problem.shapes[:-1])
-    last = 1.0 / sigma(problem.shapes[-1])
-    scale = max(problem.total_length, math.sqrt(threshold))
-    ratio = problem.total_length / scale
+
+def _sums(problem: PartitionProblem):
+    """(k, shared, last): the number k of shapes sharing the perimeter, the
+    sum of their 1/sigma and the last shape's 1/sigma."""
+    inverse = [1.0 / s._sigma for s in problem.shapes]
+    last = inverse.pop()
+    return len(inverse), sum(inverse), last
+
+
+def _line(length: float, sums, threshold: float = 0.0):
+    """(s, a, b, c, discriminant): the total along the shared line of a wire
+    of that length, with the shapes' _sums, less the threshold A is
+    a*v**2 + b*v + c in units of s = max(L, sqrt(A)), with v = x/s and
+    areas over s**2, where neither side overflows; b < 0 < a."""
+    k, shared, last = sums
+    scale = max(length, math.sqrt(threshold))
+    ratio = length / scale
     a = (shared + k * k * last) / 4.0
     b = -k * last / 2.0 * ratio
     c = last / 4.0 * ratio * ratio - threshold / scale / scale
@@ -141,7 +156,7 @@ def threshold_roots(problem: PartitionProblem, threshold: float):
     """Roots (x_minus, x_plus) of total(x) = threshold, or None if the line
     never reaches the threshold. Roots may fall outside the feasible domain."""
     _check_positive(threshold, "threshold")
-    scale, a, b, c, disc = _line(problem, threshold)
+    scale, a, b, c, disc = _line(problem.total_length, _sums(problem), threshold)
     if disc < 0.0:
         return None
     # b < 0, so this split avoids cancellation in the small root.
@@ -161,7 +176,8 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
     half the width of the roots' interval, None exactly when they are.
     """
     length = problem.total_length
-    _, a, _, high, disc = _line(problem)
+    sums = _sums(problem)
+    _, a, _, high, disc = _line(length, sums)
     low = -disc / (4.0 * a)
     l_low = l_high = x_hat = None
     if threshold is not None:
@@ -170,7 +186,7 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
         l_low = math.sqrt(threshold) / math.sqrt(high)
         l_high = math.sqrt(threshold) / math.sqrt(low)
         if len(problem.shapes) == 2:
-            scale, a, _, _, disc = _line(problem, threshold)
+            scale, a, _, _, disc = _line(length, sums, threshold)
             if disc >= 0.0:
                 x_hat = scale * math.sqrt(disc) / (2.0 * a)
     return FeasibilityRange(length * length * low, length * length * high, l_low, l_high, x_hat)

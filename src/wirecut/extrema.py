@@ -11,7 +11,7 @@ diagnostics; they are minima of the restricted problem, not maxima.
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .geometry import Shape, _check_count, _check_positive, _sequence, area, parse_shape, sigma
+from .geometry import Shape, _check_count, _check_positive, _sequence, areas, parse_shape
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -63,6 +63,11 @@ class PartitionResult:
     total_area: float
     excluded_index: int | None = None
 
+    # One dict update in place of the generated __init__'s call per field.
+    def __init__(self, kind, lengths, per_shape_areas, total_area, excluded_index=None):
+        self.__dict__.update(kind=kind, lengths=lengths, per_shape_areas=per_shape_areas,
+                             total_area=total_area, excluded_index=excluded_index)
+
 
 def total_area(shapes, lengths) -> float:
     """Total area when lengths[i] is bent into shapes[i]; no sum constraint.
@@ -71,15 +76,20 @@ def total_area(shapes, lengths) -> float:
     lengths = _sequence(lengths, "lengths", "numbers")
     if len(shapes) != len(lengths):
         raise ValueError("need exactly one length per shape")
-    return sum(area(s, x) for s, x in zip(shapes, lengths))
+    return sum(areas(shapes, lengths))
 
 
 def _split(kind, problem, weights, excluded_index=None) -> PartitionResult:
-    """Each piece proportional to its weight, the pieces summing to L."""
+    """Each piece proportional to its weight, the pieces summing to L.
+
+    The areas come from geometry.areas in one call, with area's bits; a
+    piece that rounds up past the largest float, as w * L / sum(weights)
+    can for L within a few ulps of it, is refused as area refuses it.
+    """
     scale = problem.total_length / sum(weights)
-    lengths = tuple(w * scale for w in weights)
-    areas = tuple(area(s, x) for s, x in zip(problem.shapes, lengths))
-    return PartitionResult(kind, lengths, areas, sum(areas), excluded_index)
+    lengths = [w * scale for w in weights]
+    pieces = areas(problem.shapes, lengths)
+    return PartitionResult(kind, tuple(lengths), tuple(pieces), sum(pieces), excluded_index)
 
 
 def minimize_partition(problem: PartitionProblem) -> PartitionResult:
@@ -88,7 +98,7 @@ def minimize_partition(problem: PartitionProblem) -> PartitionResult:
     Setting the constrained gradient to zero gives lengths[i] =
     L * sigma_i / sum(sigma), hence total = L**2 / (4 * sum(sigma)).
     """
-    return _split(INTERIOR_MINIMUM, problem, [sigma(s) for s in problem.shapes])
+    return _split(INTERIOR_MINIMUM, problem, [s._sigma for s in problem.shapes])
 
 
 def maximize_partition(problem: PartitionProblem) -> PartitionResult:
@@ -98,7 +108,7 @@ def maximize_partition(problem: PartitionProblem) -> PartitionResult:
     vertex; the best vertex is the shape of smallest sigma (largest area at
     full length). Ties go to the lowest index.
     """
-    weights = [sigma(s) for s in problem.shapes]
+    weights = [s._sigma for s in problem.shapes]
     best = min(range(len(weights)), key=weights.__getitem__)
     vertex = [0.0] * len(weights)
     vertex[best] = 1.0
@@ -116,7 +126,7 @@ def face_stationary(problem: PartitionProblem, excluded_index: int) -> Partition
     _check_count(excluded_index, "excluded index")
     if not 0 <= excluded_index < count:
         raise ValueError(f"excluded index {excluded_index} out of range for {count} shapes")
-    weights = [sigma(s) for s in problem.shapes]
+    weights = [s._sigma for s in problem.shapes]
     # A zero weight pins the piece; adding 0.0 leaves the sum's bits alone.
     weights[excluded_index] = 0.0
     return _split(FACE_STATIONARY, problem, weights, excluded_index)
@@ -133,7 +143,7 @@ def paper_face_max(problem: PartitionProblem) -> PartitionResult:
     lowest excluded index among equal float totals, and where every total
     overflows or underflows alike, to the heaviest shape's face.
     """
-    weights = [sigma(s) for s in problem.shapes]
+    weights = [s._sigma for s in problem.shapes]
     top = max(weights)
     # Exact face totals rank as the weights do, by 1 + (top - w) / (S - top).
     # A float total is a sum of k weights, a scale, k products, k areas and a

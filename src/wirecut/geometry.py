@@ -9,6 +9,12 @@ P**2 / (4*pi)) exact instead of suffering cancellation in tan near pi/2.
 Each Shape computes its weight once, when it is built, and keeps it outside
 its dataclass fields, so ``sigma`` is a lookup while equality, hashing, repr,
 copies and ``dataclasses.replace`` see only the side count.
+
+``areas`` is ``area`` over a list of pieces in one call: where every
+perimeter is a finite non-negative float, which ``area`` would accept, it
+evaluates the same expression in one list pass, and otherwise it calls
+``area`` on each piece in turn, so it returns the same bits and raises the
+same errors. The closed-form solvers take their pieces' areas from it.
 """
 
 import math
@@ -22,6 +28,7 @@ __all__ = [
     "half_angle",
     "apothem",
     "area",
+    "areas",
     "sigma",
 ]
 
@@ -103,6 +110,16 @@ def area(shape: Shape, perimeter: float) -> float:
     if not (type(perimeter) is float and 0.0 <= perimeter < math.inf):
         _check_positive(perimeter, "perimeter", allow_zero=True)
     return perimeter * perimeter / (4.0 * shape._sigma)
+
+
+def areas(shapes, perimeters) -> list[float]:
+    """``[area(s, p) for s, p in zip(shapes, perimeters)]`` for two
+    sequences, without a call per piece where area's check passes for
+    every perimeter."""
+    for p in perimeters:
+        if not (type(p) is float and 0.0 <= p < math.inf):
+            return [area(s, p) for s, p in zip(shapes, perimeters)]
+    return [p * p / (4.0 * s._sigma) for s, p in zip(shapes, perimeters)]
 
 
 def _check_positive(value, what, allow_zero=False):

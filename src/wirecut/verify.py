@@ -34,6 +34,10 @@ class Check:
     bound: float
     ok: bool
 
+    # One dict update in place of the generated __init__'s call per field.
+    def __init__(self, check, deviation, bound, ok):
+        self.__dict__.update(check=check, deviation=deviation, bound=bound, ok=ok)
+
 
 def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     """Check the solvers' answers to one problem against the oracle.

@@ -289,6 +289,31 @@ def test_ulp_chains_match_enumeration(base, picks, budget):
     assert fast.total_area.hex() == slow.total_area.hex()
 
 
+def test_near_tie_scoring_takes_each_area_once(monkeypatch):
+    """Twenty lengths one ulp apart share ten extra sides C(20, 10) = 184,756
+    ways; scoring looks each (wire, count) area up instead of taking k areas
+    per candidate."""
+    spans, calls = [], []
+    near_ties, kernel = allocation._near_ties, allocation.area
+
+    def recording_near_ties(span_list, total, lengths):
+        spans.extend(span_list)
+        return near_ties(span_list, total, lengths)
+
+    def counting_area(shape, perimeter):
+        calls.append(perimeter)
+        return kernel(shape, perimeter)
+
+    monkeypatch.setattr(allocation, "_near_ties", recording_near_ties)
+    monkeypatch.setattr(allocation, "area", counting_area)
+    lengths = ulp_chain(1.0, 20)
+    result = optimize_allocation(AllocationProblem(lengths, 70))
+    assert spans and len(calls) <= sum(map(len, spans)) + len(lengths)
+    assert result.sides == (3,) * 10 + (4,) * 10
+    assert result.total_area.hex() == "0x1.1b2b05cfc1564p+0"
+    assert result.total_area == total_area_for_allocation(lengths, result.sides)
+
+
 @st.composite
 def small_problems(draw):
     wires = draw(st.integers(2, 4))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from operator import attrgetter
 
 import pytest
@@ -17,6 +18,7 @@ from wirecut import (
     VERTEX_MAXIMUM,
     PartitionProblem,
     Shape,
+    area,
     face_stationary,
     maximize_partition,
     minimize_partition,
@@ -197,6 +199,44 @@ def test_lengths_sum_and_area_consistency():
         for result in (minimize_partition(problem), maximize_partition(problem)):
             assert sum(result.lengths) == pytest.approx(problem.total_length, rel=1e-12)
             assert sum(result.per_shape_areas) == pytest.approx(result.total_area, rel=1e-12)
+
+
+@st.composite
+def split_problems(draw):
+    sides = st.one_of(st.integers(3, 10**7), st.just("circle"))
+    shapes = draw(st.lists(sides, min_size=2, max_size=8))
+    return PartitionProblem(draw(st.floats(1e-150, 1e150)), tuple(shapes))
+
+
+@given(split_problems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_split_areas_are_area_bit_for_bit(problem, data):
+    """The solvers take their pieces' areas from geometry.areas in one call;
+    each must be area's own bits."""
+    excluded = data.draw(st.integers(0, len(problem.shapes) - 1))
+    for result in (
+        minimize_partition(problem),
+        maximize_partition(problem),
+        face_stationary(problem, excluded),
+        paper_face_max(problem),
+    ):
+        expected = [area(s, x).hex() for s, x in zip(problem.shapes, result.lengths)]
+        assert [a.hex() for a in result.per_shape_areas] == expected
+        assert result.total_area == sum(result.per_shape_areas)
+
+
+def test_piece_past_the_largest_float_is_refused_as_area_refuses_it():
+    """At L = the largest float, the 11-gon's face piece sigma * (L / sigma)
+    rounds up to inf, which area refuses; other pieces stay finite and only
+    their areas overflow."""
+    problem = PartitionProblem(sys.float_info.max, (3, 11))
+    message = "perimeter must be a non-negative finite number, got inf"
+    for solve in (lambda p: face_stationary(p, 0), paper_face_max):
+        with pytest.raises(ValueError, match=message):
+            solve(problem)
+    for result in (minimize_partition(problem), maximize_partition(problem)):
+        assert max(result.lengths) <= sys.float_info.max
+        assert result.total_area == math.inf
 
 
 def test_minimum_total_closed_form_identity():

@@ -17,6 +17,7 @@ from wirecut import (
     Shape,
     apothem,
     area,
+    areas,
     cross_check,
     half_angle,
     parse_shape,
@@ -166,6 +167,29 @@ def test_area_is_the_closed_form_bit_for_bit(shape, perimeter):
     expected = perimeter * perimeter / (4.0 * weight)
     assert area(shape, perimeter).hex() == expected.hex()
     assert sigma(shape).hex() == weight.hex()
+
+
+def outcome(compute):
+    """The bits of each value computed, or the error raised."""
+    try:
+        return [value.hex() for value in compute()]
+    except (ValueError, OverflowError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.tuples(shape_st, st.one_of(
+    accepted_perimeter_st,
+    st.sampled_from([-1.0, math.nan, math.inf, True, "x", -3, 10**200, 10**400]),
+)), max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_areas_is_area_per_piece(pieces):
+    """Same bits where area accepts every piece; else the error area raises
+    on the first piece it refuses or cannot square."""
+    shapes = [shape for shape, _ in pieces]
+    perimeters = [perimeter for _, perimeter in pieces]
+    expected = outcome(lambda: [area(s, p) for s, p in pieces])
+    assert outcome(lambda: areas(shapes, perimeters)) == expected
+    assert outcome(lambda: areas(tuple(shapes), tuple(perimeters))) == expected
 
 
 def test_weight_is_no_dataclass_field():
