@@ -29,17 +29,24 @@ exact optimum, not every allocation whose total rounds the same. The
 continuous first-order conditions have no closed form; they are kept only as
 residual diagnostics on the integer winner.
 
-The excess, cotangent and Shape of each side count are memoized, so a
-process computes each once; import fills nothing and no result is cached.
+Every value that depends only on a side count n (the excess, the gain's
+numerator and denominator, the rate behind a wire's share of the total, the
+stationarity score's angle and factor, and the Shape) sits in a table per
+value, a dict that computes and keeps the entry for n on its first lookup. A
+process computes each once, for the counts its solves touch; import fills
+nothing and nothing that depends on the lengths is kept. Every rate is at
+least 4 pi > 12, so sum(weights)/12 bounds the total from above: the exact
+total and the near-tie tolerance are formed only when the wider band that
+bound gives still leaves a wire a side to give. Float rounding is monotone,
+so every decision stays as it was.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, _check_count, _check_positive, _sequence, area
+from .geometry import Shape, _check_count, _check_positive, _sequence, area, areas
 
 __all__ = [
     "AllocationProblem",
@@ -112,23 +119,32 @@ class AllocationResult:
                              total_area=total_area, residuals=residuals)
 
 
-# Shape(n) for each side count a solve uses, built once per process.
-_polygon = functools.cache(Shape)
-
-
 def total_area_for_allocation(lengths, sides) -> float:
     """Total enclosed area when wire i is bent into a regular sides[i]-gon."""
     lengths = _sequence(lengths, "lengths", "numbers")
     sides = _sequence(sides, "sides", "side counts")
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
-    # Only counts a solve can use are memoized; 4.0, True, [4] and the rest meet Shape's checks.
-    return math.fsum([area(_polygon(n) if type(n) is int and n <= SIDE_LIMIT + 1 else Shape(n), x)
+    # Only counts a solve can use are kept; 4.0, True, [4] and the rest meet Shape's checks.
+    return math.fsum([area(_polygon[n] if type(n) is int and n <= SIDE_LIMIT + 1 else Shape(n), x)
                       for n, x in zip(sides, lengths)])
 
 
-@functools.cache
-def _excess(n: int) -> float:
+class _Table(dict):
+    """One value of a side count per entry, computed on the entry's first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, n):
+        self[n] = value = self.fill(n)
+        return value
+
+
+def _tan_excess(n: int) -> float:
     """tan(a)/a - 1 with a = pi/n; a unit-perimeter n-gon encloses
     1/(4 pi (1 + excess)). The series avoids cancellation for small a."""
     a = math.pi / n
@@ -141,17 +157,23 @@ def _excess(n: int) -> float:
     return acc * s
 
 
-@functools.cache
-def _cot(n: int) -> float:
-    """1/tan(pi/n), the cotangent behind an n-gon's stationarity score."""
-    return 1.0 / math.tan(math.pi / n)
+def _factor_at(alpha: float) -> float:
+    """alpha/tan(alpha)**2 - 1/tan(alpha) + alpha, the stationarity score
+    divided by (alpha*length)**2."""
+    cot = 1.0 / math.tan(alpha)
+    return alpha * cot * cot - cot + alpha
 
 
-def _gain(weight: float, n: int) -> float:
-    """Area the (n+1)-th side adds, from the excesses before and after it,
-    in a form free of the cancellation in g(n+1) - g(n)."""
-    e_from, e_to = _excess(n), _excess(n + 1)
-    return weight * (e_from - e_to) / (4.0 * math.pi * (1.0 + e_from) * (1.0 + e_to))
+# The (n+1)-th side of a wire of weight w adds w * _drop[n] / _spread[n], a
+# form free of the cancellation in g(n+1) - g(n); bent into an n-gon it
+# encloses w / _rate[n] in units of the longest wire's length squared.
+_excess = _Table(_tan_excess)
+_drop = _Table(lambda n: _excess[n] - _excess[n + 1])
+_rate = _Table(lambda n: 4.0 * math.pi * (1.0 + _excess[n]))
+_spread = _Table(lambda n: _rate[n] * (1.0 + _excess[n + 1]))
+_angle = _Table(lambda n: math.pi / n)
+_factor = _Table(lambda n: _factor_at(_angle[n]))
+_polygon = _Table(Shape)
 
 
 def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
@@ -171,7 +193,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
             "up to which float areas grow with every side"
         )
-    gain, inf = _gain, math.inf
+    drop, spread, inf = _drop, _spread, math.inf
     # Weights relative to the longest wire, so that no gain over- or underflows.
     longest = max(lengths)
     weights = [(x / longest) ** 2 for x in lengths]
@@ -185,8 +207,8 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     for i, w in enumerate(weights):
         n = 3 + int(scale * roots[i])
         sides.append(n)
-        nexts.append((gain(w, n), i))
-        lasts.append((gain(w, n - 1) if n > 3 else inf, i))
+        nexts.append((w * drop[n] / spread[n], i))
+        lasts.append((w * drop[n - 1] / spread[n - 1] if n > 3 else inf, i))
     # Hand out what the floors leave (under k sides), then move sides while that gains.
     left = budget - sum(sides)
     while True:
@@ -200,10 +222,11 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             j = bottom[1]
             sides[j] -= 1
             nexts[j] = bottom
-            lasts[j] = (gain(weights[j], sides[j] - 1) if sides[j] > 3 else inf, j)
+            n = sides[j] - 1
+            lasts[j] = (weights[j] * drop[n] / spread[n] if n > 2 else inf, j)
         i = top[1]
-        sides[i] += 1
-        lasts[i], nexts[i] = top, (gain(weights[i], sides[i]), i)
+        n = sides[i] = sides[i] + 1
+        lasts[i], nexts[i] = top, (weights[i] * drop[n] / spread[n], i)
     best_rejected, worst_accepted = top[0], bottom[0]
 
     # An allocation can tie or beat the greedy one in float only if its exact
@@ -211,33 +234,38 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # totals, each under k+6 units in the last place. Every side it takes
     # away then adds at most that much more than the best rejected side, and
     # every side it adds at most that much less than the worst accepted side.
-    total = sum(w / (4.0 * math.pi * (1.0 + _excess(n))) for w, n in zip(weights, sides))
-    tolerance = (wires + 8) * 2.0**-50 * total
-    ceiling = best_rejected + tolerance
-    if worst_accepted <= ceiling:  # else no wire has a side to give
-        # A wire can only take as many sides as the others can give, and back;
-        # most stop at the last or next gain the repair already holds.
-        removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
-                     for (last, _), w, n in zip(lasts, weights, sides)]
-        given = sum(removable)
-        floor = worst_accepted - tolerance
-        addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
-                   for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
-        taken = sum(addable)
-        spans = [range(n - min(r, taken - a), n + a + 1)
-                 for n, r, a in zip(sides, removable, addable)]
-        # One length and at most two counts: one group of equal wires alone
-        # moves, by single sides, and the greedy's vector is the first tie.
-        if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
-            # Of equal totals the smaller vector wins; each total adds the
-            # areas as total_area_for_allocation does, each area taken once
-            # per wire and count.
-            tables = [{n: area(_polygon(n), x) for n in span} for x, span in zip(lengths, spans)]
-            sides = min(_near_ties(spans, budget, lengths),
-                        key=lambda v: (-math.fsum(map(dict.__getitem__, tables, v)), v))
-    areas = tuple(map(area, map(_polygon, sides), lengths))
-    terms = [_score(n, _cot(n), x) for n, x in zip(sides, lengths)]
-    return AllocationResult(tuple(sides), areas, math.fsum(areas), tuple(map(sub, terms, terms[1:])))
+    # Every rate is at least 4 pi > 12 and rounding is monotone, so
+    # sum(weights) / 12 bounds the total and the band it gives holds this
+    # one: where even that band leaves no wire a side to give, the exact
+    # total is not formed.
+    unit = (wires + 8) * 2.0**-50
+    if worst_accepted <= best_rejected + unit * (sum(weights) / 12):
+        tolerance = unit * sum([w / _rate[n] for w, n in zip(weights, sides)])
+        ceiling = best_rejected + tolerance
+        if worst_accepted <= ceiling:  # else no wire has a side to give
+            # A wire can only take as many sides as the others can give, and
+            # back; most stop at the last or next gain the repair already holds.
+            removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
+                         for (last, _), w, n in zip(lasts, weights, sides)]
+            given = sum(removable)
+            floor = worst_accepted - tolerance
+            addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
+                       for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
+            taken = sum(addable)
+            spans = [range(n - min(r, taken - a), n + a + 1)
+                     for n, r, a in zip(sides, removable, addable)]
+            # One length and at most two counts: one group of equal wires alone
+            # moves, by single sides, and the greedy's vector is the first tie.
+            if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
+                # Of equal totals the smaller vector wins; each total adds the
+                # areas as total_area_for_allocation does, each area taken
+                # once per wire and count.
+                tables = [{n: area(_polygon[n], x) for n in span} for x, span in zip(lengths, spans)]
+                sides = min(_near_ties(spans, budget, lengths),
+                            key=lambda v: (-math.fsum(map(dict.__getitem__, tables, v)), v))
+    per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
+    terms = _scores(map(_angle.__getitem__, sides), map(_factor.__getitem__, sides), lengths)
+    return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
 
 
 def _near_ties(spans, total, lengths):
@@ -287,7 +315,7 @@ def _run(weight: float, counts, low: float, high: float) -> int:
     area between low and high."""
     run = 0
     for m in counts:
-        if not low <= _gain(weight, m) <= high:
+        if not low <= weight * _drop[m] / _spread[m] <= high:
             break
         run += 1
     return run
@@ -305,17 +333,18 @@ def stationarity_term(side: float, length: float) -> float:
     if side <= 2:
         raise ValueError(f"side count must exceed 2, got {side!r}")
     _check_positive(length, "length")
-    return _score(side, 1.0 / math.tan(math.pi / side), length)
-
-
-def _score(side, cot: float, length: float) -> float:
-    """stationarity_term of valid inputs, given cot = 1/tan(pi/side)."""
     alpha = math.pi / side
-    scaled = alpha * length
-    score = scaled * scaled * (alpha * cot * cot - cot + alpha)
-    if not math.isfinite(score):
+    return _scores((alpha,), (_factor_at(alpha),), (length,))[0]
+
+
+def _scores(angles, factors, lengths) -> list:
+    """Stationarity scores of valid inputs, each from the wire's angle
+    alpha = pi/side and its factor _factor_at(alpha)."""
+    scores = [(scaled := a * x) * scaled * f for a, f, x in zip(angles, factors, lengths)]
+    if not all(map(math.isfinite, scores)):
+        length = next(x for score, x in zip(scores, lengths) if not math.isfinite(score))
         raise ValueError(f"stationarity score of a wire of length {length!r} overflows a float")
-    return score
+    return scores
 
 
 def stationarity_residual(lengths, sides) -> tuple[float, ...]:

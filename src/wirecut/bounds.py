@@ -156,6 +156,11 @@ def threshold_roots(problem: PartitionProblem, threshold: float):
     """Roots (x_minus, x_plus) of total(x) = threshold, or None if the line
     never reaches the threshold. Roots may fall outside the feasible domain."""
     _check_positive(threshold, "threshold")
+    return _roots(problem, threshold)
+
+
+def _roots(problem: PartitionProblem, threshold: float):
+    """threshold_roots for a threshold already checked, as a BoundQuery's is."""
     scale, a, b, c, disc = _line(problem.total_length, _sums(problem), threshold)
     if disc < 0.0:
         return None
@@ -201,7 +206,7 @@ def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
     floor = _WIDTH_FLOOR * length
     # Without roots the line stays above the threshold, as with a double root
     # at 0: the upper set is empty and the lower one is the whole domain.
-    lo, hi = threshold_roots(query.problem, query.threshold) or (0.0, 0.0)
+    lo, hi = _roots(query.problem, query.threshold) or (0.0, 0.0)
     lo, hi = min(max(lo, 0.0), domain_hi), min(max(hi, 0.0), domain_hi)
     pieces = [(0.0, lo), (hi, domain_hi)] if query.sense == "lower" else [(lo, hi)]
     kept = tuple([(start, end) for start, end in pieces if end - start > floor])

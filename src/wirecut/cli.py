@@ -52,13 +52,17 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def _tokens(text: str) -> list:
-    return [token.strip() for token in text.split(",") if token.strip()]
+def _tokens(text: str, flag: str) -> list:
+    tokens = [token.strip() for token in text.split(",")]
+    if "" in tokens:
+        raise ValueError(f"{flag} has an empty entry in {text!r}")
+    return tokens
 
 
-def _numbers(text: str) -> list:
+def _numbers(text: str, flag: str) -> list:
+    tokens = _tokens(text, flag)
     try:
-        return [float(token) for token in _tokens(text)]
+        return [float(token) for token in tokens]
     except ValueError:
         raise ValueError(f"lengths must be numbers, got {text!r}") from None
 
@@ -131,7 +135,7 @@ def _problem(args):
         value = getattr(args, flag[2:])
         if value is not None:
             split = _SPLIT.get(flag)
-            data[field] = split(value) if split else value
+            data[field] = split(value, flag) if split else value
     return _decode(data)
 
 

@@ -1,6 +1,7 @@
 """Side-budget allocation: greedy marginal analysis and stationarity diagnostics."""
 
 import itertools
+import json
 import math
 import random
 import subprocess
@@ -485,14 +486,14 @@ def test_result_is_bit_identical_to_public_kernels(problem):
     assert [r.hex() for r in result.residuals] == [r.hex() for r in expected]
 
 
-# The memos behind a solve, keyed by side count.
-MEMOS = ("_excess", "_cot", "_polygon")
+# The tables behind a solve, keyed by side count.
+TABLES = ("_excess", "_drop", "_rate", "_spread", "_angle", "_factor", "_polygon")
 
 
 @pytest.fixture
-def fresh_caches():
-    for name in MEMOS:
-        getattr(allocation, name).cache_clear()
+def fresh_tables():
+    for name in TABLES:
+        getattr(allocation, name).clear()
 
 
 def count_work(monkeypatch):
@@ -519,7 +520,7 @@ def count_work(monkeypatch):
     ((1.0,) * 6, 25),  # equal wires: the near-tie check runs
     ((0.5, 1.0, 1.0, 7.3), 2000),
 ])
-def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_caches, lengths, budget):
+def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_tables, lengths, budget):
     problem = AllocationProblem(lengths, budget)
     first = optimize_allocation(problem)
     tans, shapes = count_work(monkeypatch)
@@ -533,17 +534,19 @@ def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_caches
 EIGHT_WIRES = (0.6, 0.9, 1.0, 1.3, 1.7, 2.1, 2.6, 3.0)
 
 
-def test_solve_work_does_not_grow_with_the_budget(monkeypatch, fresh_caches):
+def test_solve_work_does_not_grow_with_the_budget(monkeypatch, fresh_tables):
     """Gains, tans and Shapes per solve stay within a few per wire from a
-    budget of 60 up to the side limit."""
+    budget of 60 up to the side limit. Each gain reads one numerator from
+    _drop, so its lookups count the gains; fills would undercount them at
+    small budgets, where wires share counts."""
     gains = []
-    gain = allocation._gain
 
-    def counting_gain(*args):
-        gains.append(args)
-        return gain(*args)
+    class CountingTable(allocation._Table):
+        def __getitem__(self, n):
+            gains.append(n)
+            return super().__getitem__(n)
 
-    monkeypatch.setattr(allocation, "_gain", counting_gain)
+    monkeypatch.setattr(allocation, "_drop", CountingTable(allocation._drop.fill))
     tans, shapes = count_work(monkeypatch)
     wires = len(EIGHT_WIRES)
     counts = []
@@ -556,38 +559,51 @@ def test_solve_work_does_not_grow_with_the_budget(monkeypatch, fresh_caches):
     assert max(counts) < 2 * min(counts)
 
 
-def test_total_area_checks_counts_the_table_holds(fresh_caches):
+def test_total_area_checks_counts_the_table_holds(fresh_tables):
     optimize_allocation(AllocationProblem((1.0, 2.0), 20))
     total_area_for_allocation((1.0, 1.0), (4, 4))
-    held = allocation._polygon.cache_info().currsize
+    held = len(allocation._polygon)
     for bad in (4.0, True, 2, -1, [4]):
         with pytest.raises(ValueError):
             total_area_for_allocation((1.0, 1.0), (4, bad))
     # A valid count past any a solve can use is built but not kept.
     huge = total_area_for_allocation((1.0, 1.0), (4, 10**9))
     assert huge == area(Shape(4), 1.0) + area(Shape(10**9), 1.0)
-    assert allocation._polygon.cache_info().currsize == held
+    assert len(allocation._polygon) == held
 
 
 def test_import_fills_nothing():
     script = (
         "import wirecut; from wirecut import allocation; "
-        f"print([getattr(allocation, name).cache_info().currsize for name in {MEMOS!r}])"
+        f"print([len(getattr(allocation, name)) for name in {TABLES!r}])"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[0, 0, 0]"
+    assert result.stdout.strip() == str([0] * len(TABLES))
 
 
-def test_concurrent_solves_match_serial(fresh_caches):
-    """Solves that fill the memos at the same time get the serial results."""
+def test_side_limit_solve_fills_only_the_counts_it_touches():
+    """A fresh process solving eight wires at the side limit keeps a few
+    entries per wire in each table, not one per count up to the limit."""
+    script = (
+        "from wirecut import allocation, AllocationProblem, optimize_allocation; "
+        f"optimize_allocation(AllocationProblem({EIGHT_WIRES!r}, 20_021)); "
+        f"print([len(getattr(allocation, name)) for name in {TABLES!r}])"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    sizes = json.loads(result.stdout)
+    assert len(sizes) == len(TABLES) and 0 < min(sizes) and max(sizes) <= 5 * len(EIGHT_WIRES)
+
+
+def test_concurrent_solves_match_serial(fresh_tables):
+    """Solves that fill the tables at the same time get the serial results."""
     problems = [AllocationProblem((1.0, 1.7, 2.9), budget) for budget in (900, 3100, 6300, 12700)]
     serial = [optimize_allocation(p) for p in problems]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            for name in MEMOS:
-                getattr(allocation, name).cache_clear()
+            for name in TABLES:
+                getattr(allocation, name).clear()
             with ThreadPoolExecutor(max_workers=4) as pool:
                 assert list(pool.map(optimize_allocation, problems, timeout=60)) == serial
     finally:

@@ -241,6 +241,21 @@ def test_inline_lengths_still_parse(capsys):
     assert json.loads(out)["problem"]["lengths"] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("allocate", "--lengths", "1,,2", "--budget", "9"), "--lengths"),
+    (("allocate", "--lengths", "1,2,", "--budget", "9"), "--lengths"),
+    (("allocate", "--lengths", ",1,2", "--budget", "9"), "--lengths"),
+    (("min", "--length", "12", "--shapes", "4,,3"), "--shapes"),
+    (("min", "--length", "12", "--shapes", ",4,3,"), "--shapes"),
+    (("bounds", "--length", "12", "--shapes", "4, ,3", "--area", "5", "--sense", "lower"), "--shapes"),
+])
+def test_empty_list_entry_exits_2(capsys, argv, flag):
+    """An empty entry in a comma list is refused, not dropped."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {flag} has an empty entry" in err
+
+
 def test_overflowing_allocation_exits_2(capsys, tmp_path):
     problem_file = tmp_path / "p.json"
     problem_file.write_text(json.dumps({"mode": "allocation", "lengths": [1e200, 1], "side_budget": 20}))
