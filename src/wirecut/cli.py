@@ -17,9 +17,14 @@ shapes and lengths are JSON lists.
 The command table `_COMMANDS` gives each subcommand its mode, handler and
 extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
 `main` builds the parser on its first call and reuses it for the process.
-When the first argument names a subcommand, `main` parses the rest with
-that subcommand's parser alone; anything else (no arguments, -h, an
-unknown command) goes through the top-level parser and its messages.
+When the first argument names a subcommand, `main` reads the rest in
+`_plain` if it holds only that subcommand's flags, spelled in full, each
+value valid and not starting with "-", and every required flag; `_plain`
+builds the Namespace argparse would from the flag table `build_parser`
+keeps. Any other rest (-h, abbreviations, --flag=value, a negative or bad
+value, a foreign flag) goes to the subcommand's parser alone, and anything
+else (no arguments, -h, an unknown command) through the top-level parser
+and its messages.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a result
 that JSON cannot represent (NaN, inf), 3 infeasible side budget, 4 resource
@@ -139,11 +144,17 @@ def _problem(args):
     return _decode(data)
 
 
+# The encoders json.dumps would build on every call: compact for the finiteness
+# check of a table, indented for --format json.
+_COMPACT = json.JSONEncoder(allow_nan=False)
+_INDENTED = json.JSONEncoder(indent=2, allow_nan=False)
+
+
 def _emit(args, lines: list, payload: dict):
     # Serialized for tables too, so that NaN and inf raise ValueError in both formats.
     try:
-        text = json.dumps({"command": args.command, **payload},
-                          indent=2 if args.format == "json" else None, allow_nan=False)
+        text = (_INDENTED if args.format == "json" else _COMPACT).encode(
+            {"command": args.command, **payload})
     except ValueError:
         raise ValueError("result is not a finite number "
                          "(lengths or areas beyond the float range)") from None
@@ -241,14 +252,42 @@ def build_parser() -> argparse.ArgumentParser:
         "area-bound intervals, side-budget allocation, and brute-force checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.plain = {}  # each subcommand's actions by full flag name, and its defaults
     for command, (mode, handler, text, extra) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=text)
-        command_parser.add_argument("--file", required=mode is None, help="JSON problem file")
+        actions = [command_parser.add_argument("--file", required=mode is None,
+                                               help="JSON problem file")]
         for flag in (*_FIELDS.get(mode, {}).values(), *extra, "--format"):
-            command_parser.add_argument(flag, **_FLAGS[flag])
+            actions.append(command_parser.add_argument(flag, **_FLAGS[flag]))
         command_parser.set_defaults(command=command, handler=handler, mode=mode)
+        parser.plain[command] = ({action.option_strings[0]: action for action in actions},
+                                 {action.dest: action.default for action in actions}
+                                 | {"command": command, "handler": handler, "mode": mode})
     parser.commands = sub.choices  # each subcommand's parser, by name
     return parser
+
+
+def _plain(argv: list, actions: dict, defaults: dict):
+    """The Namespace the subcommand's parser makes of argv when argv holds only
+    full flag names, each value not starting with "-", converting and in its
+    choices, and every required flag; None for anything else."""
+    values = defaults.copy()
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            action = actions[token]
+            if action.nargs == 0:  # store_true
+                values[action.dest] = action.const
+                continue
+            text = next(tokens)
+            value = action.type(text) if action.type else text
+            if text.startswith("-") or action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+    except (KeyError, StopIteration, ValueError):
+        return None
+    required = (action.dest for action in actions.values() if action.required)
+    return None if any(values[dest] is None for dest in required) else argparse.Namespace(**values)
 
 
 # Built by the first `main` call rather than at import, which stays cheap;
@@ -262,7 +301,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = _parser.commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else _parser.parse_args(argv)
+    args = ((_plain(argv[1:], *_parser.plain[argv[0]]) or command.parse_args(argv[1:]))
+            if command else _parser.parse_args(argv))
     try:
         lines, payload, code = args.handler(args, _problem(args))
         _emit(args, lines, payload)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -408,6 +409,35 @@ def test_scaling_leaves_winner_unchanged():
 def test_stationarity_term_golden():
     expected = (math.pi / 4) ** 2 * (math.pi / 2 - 1)
     assert stationarity_term(4, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+def _factor_exact(alpha, terms=8):
+    """alpha/tan(alpha)**2 - 1/tan(alpha) + alpha = -(alpha*cot(alpha))' at the
+    float alpha, summed exactly: sum of 2k 4**k |B_2k| / (2k)! alpha**(2k-1)."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    a = Fraction(alpha)
+    return sum(2 * k * 4**k * abs(bernoulli[2 * k]) / math.factorial(2 * k) * a ** (2 * k - 1)
+               for k in range(1, terms + 1))
+
+
+@pytest.mark.parametrize("n", [32, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9])
+def test_stationarity_factor_is_accurate_at_large_side_counts(n):
+    """The direct form's terms near 1/alpha cancel (2e-5 relative at n = 10**6);
+    eight series terms leave under 1e-20 relative for n >= 32."""
+    alpha = math.pi / n
+    exact = _factor_exact(alpha)
+    assert abs(Fraction(allocation._factor_at(alpha)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+    assert stationarity_term(n, 1.0) == pytest.approx(float(exact) * alpha**2, rel=1e-15)
+
+
+def test_stationarity_factor_keeps_the_direct_form_up_to_31_sides():
+    """Residuals of allocations of at most 31 sides a wire stay bit-identical."""
+    for n in range(3, 32):
+        alpha = math.pi / n
+        cot = 1.0 / math.tan(alpha)
+        assert allocation._factor_at(alpha) == alpha * cot * cot - cot + alpha
 
 
 def test_stationarity_term_positive_everywhere():

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, problem files, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,11 +8,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut import cli
 from wirecut.cli import main
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+SQUARE = str(PROBLEMS / "partition_square_triangle.json")
 
 
 def run(capsys, *argv):
@@ -466,6 +470,97 @@ def test_subcommand_parser_matches_the_full_parser():
             dispatched = parser.commands[argv[0]].parse_args(argv[1:])
             assert vars(dispatched) == vars(parser.parse_args(argv)), argv
             assert dispatched.command == argv[0]
+
+
+# Every subcommand's flags, abbreviations, --flag=value spellings, values that
+# start with "-" or that argparse reads in its own way, choices and bad values.
+ARGV_TOKENS = (*cli._FLAGS, "--file", "--len", "--sha", "--ar", "--se", "--bud", "--paper",
+               "--res", "--form", "--fi", "--length=12", "--format=json", "--file=" + SQUARE,
+               "-12", "-1e3", "nan", "inf", "", " 7", "--", "-h", "--help", "-x", "lower",
+               "upper", "table", "json", "sideways", "12", "9", "1.5", "4,3", "x", SQUARE)
+# Mostly flag-value pairs, so that the reader takes a fair share of the lists.
+ARGV = st.lists(st.one_of(st.tuples(st.sampled_from((*cli._FLAGS, "--file")),
+                                    st.sampled_from(ARGV_TOKENS)),
+                          st.tuples(st.sampled_from(ARGV_TOKENS))),
+                max_size=5).map(lambda groups: [token for group in groups for token in group])
+PARSER = cli.build_parser()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(cli._COMMANDS)), ARGV)
+def test_plain_reader_matches_argparse(command, argv):
+    """Where the plain-argv reader takes argv, its Namespace is argparse's,
+    compared by repr since NaN != NaN."""
+    plain = cli._plain(argv, *PARSER.plain[command])
+    if plain is not None:
+        parsed = PARSER.commands[command].parse_args(argv)
+        assert repr(vars(plain)) == repr(vars(parsed))
+
+
+def count_parse_args(monkeypatch):
+    """The argv of every ArgumentParser.parse_args call from now on."""
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counting(self, args=None, namespace=None):
+        calls.append(list(args))
+        return parse_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    return calls
+
+
+def run_or_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_benchmark_shaped_argv_skips_argparse(capsys, monkeypatch):
+    bounds = str(PROBLEMS / "bounds_three_shapes.json")
+    wires = str(PROBLEMS / "allocation_two_wires.json")
+    corpus = [
+        ["min", "--length", "12.5", "--shapes", "4,3,circle"],
+        ["min", "--file", SQUARE],
+        ["max", "--length", "12.5", "--shapes", "4,3", "--paper-face-max"],
+        ["max", "--file", SQUARE],
+        ["bounds", "--length", "10.0", "--shapes", "4,3,circle", "--area", "5.0",
+         "--sense", "lower"],
+        ["bounds", "--file", bounds],
+        ["allocate", "--lengths", "1.0,2.0", "--budget", "9"],
+        ["allocate", "--file", wires],
+        ["verify", "--file", SQUARE, "--resolution", "60"],
+    ]
+    calls = count_parse_args(monkeypatch)
+    for argv in corpus:
+        for fmt in ("table", "json"):
+            code, out, err = run_or_exit(capsys, argv + ["--format", fmt])
+            assert (code, err) == (0, ""), argv
+            assert out
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["min", "--len", "12", "--shapes", "4,3"], 0, "   total     12.000      3.915\n"),
+    (["min", "--length=12", "--shapes", "4,3"], 0, "   total     12.000      3.915\n"),
+    (["min", "--length", "-12", "--shapes", "4,3"], 2,
+     "error: total length must be a positive finite number, got -12.0\n"),
+    (["bounds", "--length", "10", "--shapes", "4,3", "--area", "5", "--sense", "sideways"], 2,
+     "wirecut bounds: error: argument --sense: invalid choice: 'sideways'"),
+    (["verify"], 2, "wirecut verify: error: the following arguments are required: --file\n"),
+    (["min", "--length", "12", "--shapes", "4,3", "--budget", "9"], 2,
+     "wirecut min: error: unrecognized arguments: --budget 9\n"),
+], ids=["abbreviation", "flag=value", "negative-value", "bad-choice", "verify-no-file",
+        "foreign-flag"])
+def test_declined_argv_reaches_argparse(capsys, monkeypatch, argv, code, text):
+    calls = count_parse_args(monkeypatch)
+    got, out, err = run_or_exit(capsys, argv)
+    assert calls == [argv[1:]]
+    assert got == code
+    assert text in (out if code == 0 else err)
 
 
 @pytest.mark.parametrize("argv, code, stream, text", [
