@@ -11,23 +11,19 @@ to the largest next gain while that gains. Gains rank by (gain, index), so
 of equal gains the later wire takes the side; the repair takes O(k) moves
 whatever I (Hochbaum 1994; Ibaraki & Katoh 1988, ch. 4).
 
-The result keeps the contract of the plain enumeration in the oracle: the
-largest total as computed in floating point and, on equal totals, the
-lexicographically smallest side sequence. Totals are correctly rounded
-(math.fsum; Shewchuk 1997), so equal wires trade counts at no change in
-total; the greedy's vector ascends over each group of them, so it is the
-first exact optimum. Rounding can reorder allocations whose exact totals lie
-within a few ulps of each other, so every allocation that close to the
-greedy cutoff and ascending over each group of equal wires is scored. One DP
-over the wires in order of length counts these and walks them back from the
-full sum, in no set order; of equal totals the smaller vector wins by
-comparison. Where one group alone moves, by single sides, nothing is scored,
-so CANDIDATE_LIMIT bites only on lengths distinct but within rounding. Where
-the float totals themselves overflow or underflow (lengths beyond about
-1e154 or below 1e-154), that check still covers only allocations near the
-exact optimum, not every allocation whose total rounds the same. The
-continuous first-order conditions have no closed form; they are kept only as
-residual diagnostics on the integer winner.
+The result is the allocation of the largest exact total and, of equal exact
+totals, the lexicographically smallest side sequence, as in the oracle's
+plain enumeration. Exact totals tie only where wires of bit-equal length
+trade counts, and the greedy's vector ascends over each group of them.
+Float gains misorder only gains within their rounding error, so the sides
+whose gains lie within a far wider tolerance of the greedy cutoff are
+handed out again by their exact gains, from 60-digit areas
+(geometry._unit_area_exact); where one group of equal wires alone moves,
+by single sides, nothing needs it (Yap 1997: decide the combinatorial
+outcome exactly, compute the values in floats). Reported areas are floats
+and the total is their correctly rounded sum (math.fsum; Shewchuk 1997).
+The continuous first-order conditions have no closed form; they are kept
+only as residual diagnostics on the integer winner.
 
 Every value that depends only on a side count n (the excess, the gain's
 numerator and denominator, the rate behind a wire's share of the total, the
@@ -35,10 +31,10 @@ stationarity score's angle and factor, and the Shape) sits in a table per
 value, a dict that computes and keeps the entry for n on its first lookup. A
 process computes each once, for the counts its solves touch; import fills
 nothing and nothing that depends on the lengths is kept. Every rate is at
-least 4 pi > 12, so sum(weights)/12 bounds the total from above: the exact
-total and the near-tie tolerance are formed only when the wider band that
-bound gives still leaves a wire a side to give. Float rounding is monotone,
-so every decision stays as it was.
+least 4 pi > 12, so sum(weights)/12 bounds the total from above: the total
+and the tolerance are formed only when the wider band that bound gives
+still leaves a wire a side to give. Float rounding is monotone, so
+every decision stays as it was.
 """
 
 import math
@@ -46,7 +42,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, _check_count, _check_positive, _sequence, area, areas
+from .geometry import Shape, _check_count, _check_positive, _sequence, _unit_area_exact, area, areas
 
 __all__ = [
     "AllocationProblem",
@@ -62,13 +58,6 @@ __all__ = [
 # geometry, decides which allocation has the largest float total.
 SIDE_LIMIT = 20_000
 
-# Most near-tie allocations the check may score, the most any scan in this
-# package scores. It scores those ascending over each group of equal wires,
-# which are some of the compositions, so no problem with at most this many
-# compositions is refused. Only many nearly equal, distinct wires come near
-# it: k lengths an ulp apart sharing r extra sides nearly tie C(k, r) ways.
-CANDIDATE_LIMIT = 10**8
-
 # tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
 _TAN_SERIES = (
     1 / 3,
@@ -81,7 +70,7 @@ _TAN_SERIES = (
     6404582 / 10854718875,
 )
 # _factor_at's a/tan(a)**2 - 1/tan(a) + a = -(a*cot(a))' = 2a/3 + 4a**3/45 + ...:
-# coefficients of a .. a**11; for a < 0.1 the sum is within 2 ulps.
+# coefficients of a .. a**11; for a < 0.15 the sum is within 6 ulps.
 _FACTOR_SERIES = (
     2 / 3,
     4 / 45,
@@ -170,9 +159,9 @@ def _tan_excess(n: int) -> float:
 def _factor_at(alpha: float) -> float:
     """alpha/tan(alpha)**2 - 1/tan(alpha) + alpha, the stationarity score
     divided by (alpha*length)**2. Its terms near 1/alpha cancel to about
-    2 alpha/3, losing about 1/alpha**2 ulps, so for alpha < 0.1 (n >= 32)
+    2 alpha/3, losing about 1/alpha**2 ulps, so for alpha < 0.15 (n >= 21)
     the series is summed instead."""
-    if alpha >= 0.1:
+    if alpha >= 0.15:
         cot = 1.0 / math.tan(alpha)
         return alpha * cot * cot - cot + alpha
     s = alpha * alpha
@@ -195,12 +184,11 @@ _polygon = _Table(Shape)
 
 
 def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
-    """Best side assignment by marginal analysis, with ties settled as the
-    plain enumeration settles them (see the module docstring).
+    """Best side assignment by marginal analysis: the largest exact total,
+    and of equal ones the smallest side sequence (see the module docstring).
 
     Raises ResourceLimitError when one wire could get more than SIDE_LIMIT
-    sides, or when more than CANDIDATE_LIMIT allocations tie near the
-    greedy cutoff.
+    sides.
     """
     lengths = problem.wire_lengths
     wires = len(lengths)
@@ -247,14 +235,11 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         lasts[i], nexts[i] = top, (weights[i] * drop[n] / spread[n], i)
     best_rejected, worst_accepted = top[0], bottom[0]
 
-    # An allocation can tie or beat the greedy one in float only if its exact
-    # total lies below the greedy total by at most the rounding error of two
-    # totals, each under k+6 units in the last place. Every side it takes
-    # away then adds at most that much more than the best rejected side, and
-    # every side it adds at most that much less than the worst accepted side.
-    # Every rate is at least 4 pi > 12 and rounding is monotone, so
-    # sum(weights) / 12 bounds the total and the band it gives holds this
-    # one: where even that band leaves no wire a side to give, the exact
+    # Float gains misorder only gains within their rounding error, far below
+    # the tolerance, so the exact optimum differs from the greedy's only in
+    # sides whose gains lie within it of the cutoff. Every rate is at least
+    # 4 pi > 12 and rounding is monotone, so sum(weights) / 12 bounds the
+    # total: where even the band it gives leaves no wire a side to give, the
     # total is not formed.
     unit = (wires + 8) * 2.0**-50
     if worst_accepted <= best_rejected + unit * (sum(weights) / 12):
@@ -274,58 +259,31 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
                      for n, r, a in zip(sides, removable, addable)]
             # One length and at most two counts: one group of equal wires alone
             # moves, by single sides, and the greedy's vector is the first tie.
+            # Otherwise the removable sides go to the band's largest exact gains.
             if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
-                # Of equal totals the smaller vector wins; each total adds the
-                # areas as total_area_for_allocation does, each area taken
-                # once per wire and count.
-                tables = [{n: area(_polygon[n], x) for n in span} for x, span in zip(lengths, spans)]
-                sides = min(_near_ties(spans, budget, lengths),
-                            key=lambda v: (-math.fsum(map(dict.__getitem__, tables, v)), v))
+                band = _exact_gains(lengths, longest, sides, removable, addable)
+                sides = [n - r for n, r in zip(sides, removable)]
+                for _, i in sorted(band, reverse=True)[:given]:
+                    sides[i] += 1
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
     terms = _scores(map(_angle.__getitem__, sides), map(_factor.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
 
 
-def _near_ties(spans, total, lengths):
-    """Every vector taking one count from each span, summing to total and
-    ascending over each group of equal lengths, in no set order. One DP runs
-    over the wires in order of length, so each group is contiguous; layer p
-    maps each (sum, count) state after wire order[p] to the states before
-    it, so the walk back from the full sum takes no branch that fails."""
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    ways = {(0, 0): 1}
-    layers = []
-    for p, i in enumerate(order):
-        grouped = p > 0 and lengths[order[p - 1]] == lengths[i]
-        step, links = {}, {}
-        for state, count in ways.items():
-            made, last = state
-            for n in spans[i]:
-                if made + n <= total and (n >= last or not grouped):
-                    step[made + n, n] = step.get((made + n, n), 0) + count
-                    links.setdefault((made + n, n), []).append(state)
-        ways = step
-        layers.append(links)
-    ends = [state for state in ways if state[0] == total]
-    candidates = sum(map(ways.__getitem__, ends))
-    if candidates > CANDIDATE_LIMIT:
-        raise ResourceLimitError(
-            f"{candidates} near-tie allocations exceed the limit of {CANDIDATE_LIMIT}"
-        )
-    counts = [0] * len(order)
-    stack = [iter(ends)]  # stack[d] yields states after wire order[-1 - d]
-    while stack:
-        for state in stack[-1]:
-            break
-        else:
-            stack.pop()
-            continue
-        p = len(order) - len(stack)
-        counts[order[p]] = state[1]
-        if p:
-            stack.append(iter(layers[p][state]))
-        else:
-            yield tuple(counts)
+def _exact_gains(lengths, longest, sides, removable, addable) -> list:
+    """(gain, i) of the (m+1)-th side of wire i for each m in range(n - r,
+    n + a): u**2 * (g(m+1) - g(m)) at 60 digits, with u = x / longest. Each
+    wire's gains fall strictly with m."""
+    from decimal import Context, Decimal
+
+    exact = Context(prec=60)
+    band = []
+    for i, (x, n, r, a) in enumerate(zip(lengths, sides, removable, addable)):
+        u = exact.divide(Decimal(x), Decimal(longest))
+        weight = exact.multiply(u, u)
+        band += [(exact.multiply(weight, exact.subtract(_unit_area_exact(m + 1), _unit_area_exact(m))), i)
+                 for m in range(n - r, n + a)]
+    return band
 
 
 def _run(weight: float, counts, low: float, high: float) -> int:

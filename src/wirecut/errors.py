@@ -16,6 +16,5 @@ class ResourceLimitError(WirecutError):
 
     The oracle refuses scans beyond its sample limit. The allocation optimizer
     refuses budgets that could give one wire more than 20,000 sides, past
-    which rounding rather than geometry orders the float totals, and more
-    than 10**8 allocations tied near its greedy cutoff.
+    which float areas no longer grow with every side.
     """

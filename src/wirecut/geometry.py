@@ -1,6 +1,6 @@
 """Area kernels for regular polygons and their circle limit.
 
-Everything reduces to one weight per shape, ``sigma = n / tan(half_angle)``:
+Everything reduces to one weight per shape, ``sigma = n * tan(pi/n)``:
 a shape of perimeter P encloses area P**2 / (4 * sigma), so a small sigma
 marks an efficient encloser. The circle is a distinct variant rather than a
 huge-n polygon, which keeps its limiting values (sigma = pi, area =
@@ -14,7 +14,9 @@ copies and ``dataclasses.replace`` see only the side count.
 perimeter is a finite non-negative float, which ``area`` would accept, it
 evaluates the same expression in one list pass, and otherwise it calls
 ``area`` on each piece in turn, so it returns the same bits and raises the
-same errors. The closed-form solvers take their pieces' areas from it.
+same errors. The closed-form solvers take their pieces' areas from it, and
+the allocation optimizer and oracle rank allocations by the 60-digit areas
+of ``_unit_area_exact``.
 """
 
 import math
@@ -25,8 +27,6 @@ __all__ = [
     "CIRCLE",
     "regular",
     "parse_shape",
-    "half_angle",
-    "apothem",
     "area",
     "areas",
     "sigma",
@@ -45,7 +45,7 @@ class Shape:
             _check_count(n, "side count")
             if n < 3:
                 raise ValueError(f"a polygon needs at least 3 sides, got {n}")
-        # n * tan(pi/n) is n / tan(half_angle), well-conditioned for large n.
+        # n * tan(pi/n) is n / tan of the half interior angle, well-conditioned for large n.
         object.__setattr__(self, "_sigma", math.pi if n is None else n * math.tan(math.pi / n))
 
     @property
@@ -86,23 +86,10 @@ def parse_shape(token: "int | float | str | Shape") -> Shape:
     raise ValueError(f"shape must be an integer side count or 'circle', got {token!r}")
 
 
-def half_angle(shape: Shape) -> float:
-    """Half the interior angle in radians: (1/2 - 1/n)*pi, or pi/2 for the circle."""
-    if shape.is_circle:
-        return math.pi / 2.0
-    return (0.5 - 1.0 / shape.sides) * math.pi
-
-
 def sigma(shape: Shape) -> float:
-    """The weight n / tan(half_angle), evaluated as ``n * tan(pi/n)`` when
-    the shape was built; pi for the circle."""
+    """The weight n / tan of the half interior angle, evaluated as
+    ``n * tan(pi/n)`` when the shape was built; pi for the circle."""
     return shape._sigma
-
-
-def apothem(shape: Shape, perimeter: float) -> float:
-    """Center-to-side distance at the given perimeter (the radius for a circle)."""
-    _check_positive(perimeter, "perimeter", allow_zero=True)
-    return perimeter / (2.0 * sigma(shape))
 
 
 def area(shape: Shape, perimeter: float) -> float:
@@ -120,6 +107,37 @@ def areas(shapes, perimeters) -> list[float]:
         if not (type(p) is float and 0.0 <= p < math.inf):
             return [area(s, p) for s, p in zip(shapes, perimeters)]
     return [p * p / (4.0 * s._sigma) for s, p in zip(shapes, perimeters)]
+
+
+# pi to 64 significant digits, and _unit_area_exact's values by side count.
+_PI = "3.141592653589793238462643383279502884197169399375105820974944592"
+_exact_areas = {}
+
+
+def _unit_area_exact(n: int):
+    """1/(4 n tan(pi/n)), the area of a regular n-gon of unit perimeter, as a
+    60-digit decimal.Decimal, from the Taylor series of sin and cos of pi/n
+    summed at 64 digits until a term of cos falls below 1e-66. Each count is
+    computed on its first call and kept; decimal is imported only then."""
+    value = _exact_areas.get(n)
+    if value is None:
+        from decimal import Context, Decimal, localcontext
+
+        with localcontext(Context(prec=64)):
+            x = Decimal(_PI) / n
+            step = -x * x
+            sin = odd = x
+            cos = even = Decimal(1)
+            j = 1
+            while even.adjusted() >= -66:  # |even| >= 1e-66
+                even = even * step / (j * (j + 1))
+                odd = odd * step / ((j + 1) * (j + 2))
+                cos += even
+                sin += odd
+                j += 2
+            value = cos / (4 * n * sin)
+        _exact_areas[n] = value = Context(prec=60).plus(value)
+    return value
 
 
 def _check_positive(value, what, allow_zero=False):

@@ -9,9 +9,9 @@ not one per shape and sample) and adds each sample's areas left to right.
 A plain recursion over all parts but the last two hands the lattice to one
 keeper a run at a time; a two-shape lattice is one run, scored in blocks
 without tables, so memory stays flat. The allocation oracle enumerates
-side assignments with plain nested loops via itertools.product. Nothing
-here shares logic with the closed forms beyond the area kernel itself, so
-agreement is evidence.
+side assignments with plain nested loops via itertools.product and ranks
+them by exact totals. Nothing here shares logic with the solvers beyond
+the area kernels themselves, so agreement is evidence.
 """
 
 import math
@@ -20,10 +20,10 @@ from itertools import product, repeat
 from operator import add, mul, sub, truediv
 
 from . import allocation as _allocation
-from .allocation import AllocationProblem, AllocationResult, total_area_for_allocation
+from .allocation import AllocationProblem, AllocationResult
 from .errors import ResourceLimitError
 from .extrema import GRID_SAMPLE, PartitionProblem, PartitionResult
-from .geometry import Shape, _check_count, area
+from .geometry import Shape, _check_count, _unit_area_exact, area
 
 __all__ = [
     "GridSpec",
@@ -163,33 +163,41 @@ def grid_max(problem: PartitionProblem, grid: GridSpec) -> PartitionResult:
 def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     """Reference optimizer: try every side assignment by nested loops.
 
-    Totals are evaluated through the same total_area_for_allocation kernel,
-    so agreement with the optimizer is exact, not merely within tolerance.
-    The kernel's totals are correctly rounded (math.fsum), so equal wires tie
-    exactly and the first of the ties, kept here, ascends over them. The
-    optimizer memoizes only values per side count: its candidate totals and
-    its reported total take math.fsum of the same area() values, on Shapes
-    equal to the ones built here; this scan still tries every tuple.
+    The winner has the largest exact total and, of equal ones, comes first
+    in scan order, so it is the lexicographically smallest; exact totals tie
+    only where wires of bit-equal length trade counts. Each wire's area at
+    each count is taken exactly (geometry._unit_area_exact) in units of the
+    longest wire's length squared, times 2**p, as an int: p keeps 60 digits
+    of the shortest wire's, and sums of ints are exact in any order.
     """
-    wires = len(problem.wire_lengths)
+    from decimal import Context, Decimal
+
+    lengths = problem.wire_lengths
+    wires = len(lengths)
     budget = problem.side_budget
     head_range = range(3, budget - 3 * (wires - 1) + 1)
     tuples = len(head_range) ** (wires - 1)
     if tuples > _SAMPLE_LIMIT:
-        raise ResourceLimitError(
-            f"{tuples} side tuples exceed the scan limit of {_SAMPLE_LIMIT}"
-        )
-    best_sides = None
-    best_total = -math.inf
+        raise ResourceLimitError(f"{tuples} side tuples exceed the scan limit of {_SAMPLE_LIMIT}")
+    exact = Context(prec=60)
+    longest = Decimal(max(lengths))
+    # An area is over 2**-5 of its wire's length squared, and that is over
+    # 2**(2 (e_shortest - e_longest - 1)) of the longest's; 2**200 > 10**60.
+    scale = Decimal(2 ** (207 + 2 * (math.frexp(max(lengths))[1] - math.frexp(min(lengths))[1])))
+    tables = []
+    for x in lengths:
+        u = exact.divide(Decimal(x), longest)
+        weight = exact.multiply(exact.multiply(u, u), scale)
+        tables.append({n: int(exact.multiply(weight, _unit_area_exact(n))) for n in range(3, head_range.stop)})
+    best_sides, best_total = None, -1
     for head in product(head_range, repeat=wires - 1):
         last = budget - sum(head)
         if last < 3:
             continue
         sides = head + (last,)
-        total = total_area_for_allocation(problem.wire_lengths, sides)
+        total = sum(map(dict.__getitem__, tables, sides))
         if total > best_total:
-            best_sides = sides
-            best_total = total
-    areas = tuple(area(Shape(n), x) for n, x in zip(best_sides, problem.wire_lengths))
-    residuals = _allocation.stationarity_residual(problem.wire_lengths, best_sides)
+            best_sides, best_total = sides, total
+    areas = tuple(area(Shape(n), x) for n, x in zip(best_sides, lengths))
+    residuals = _allocation.stationarity_residual(lengths, best_sides)
     return AllocationResult(best_sides, areas, math.fsum(areas), residuals)

@@ -1,5 +1,6 @@
 """Side-budget allocation: greedy marginal analysis and stationarity diagnostics."""
 
+import functools
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from wirecut import (
     allocation,
     area,
     enumerate_allocations,
+    geometry,
     optimize_allocation,
     stationarity_residual,
     stationarity_term,
@@ -123,9 +126,8 @@ def test_resource_guard():
     with pytest.raises(ResourceLimitError):
         optimize_allocation(AllocationProblem((1.0,) * 8, 100000))
     # Thirty lengths one ulp apart sharing fifteen extra sides nearly tie
-    # C(30, 15) = 1.6e8 ways, more near-tie allocations than the check may score.
-    with pytest.raises(ResourceLimitError, match="155117520 near-tie"):
-        optimize_allocation(AllocationProblem(ulp_chain(1.0, 30), 105))
+    # C(30, 15) = 1.6e8 ways; ranked exactly, the fifteen longest take them.
+    assert optimize_allocation(AllocationProblem(ulp_chain(1.0, 30), 105)).sides == (3,) * 15 + (4,) * 15
     # Thirty equal wires tie exactly, and the first of the ties ascends.
     assert optimize_allocation(AllocationProblem((1.0,) * 30, 105)).sides == (3,) * 15 + (4,) * 15
 
@@ -164,7 +166,7 @@ def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch, size, extra
     """Equal wires tie exactly under every permutation, so a brute force over
     vectors ascending over the group finds the winner. Of equal gains the
     later wire takes the side, so the greedy's own vector ascends and the
-    solve scores no candidate. A wire of length 7.0 beside the group takes
+    solve ranks no gain exactly. A wire of length 7.0 beside the group takes
     12 sides: its 12th adds more, and its 13th less, than a group wire's 4th."""
     lengths = (1.0,) * size + beside
     budget = 3 * size + extra + 12 * len(beside)
@@ -176,9 +178,9 @@ def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch, size, extra
     assert best == (3,) * (size - extra) + (4,) * extra + (12,) * len(beside)
 
     def refuse(*args):
-        raise AssertionError("near-tie candidates were scored")
+        raise AssertionError("an exact gain was taken")
 
-    monkeypatch.setattr(allocation, "_near_ties", refuse)
+    monkeypatch.setattr(allocation, "_unit_area_exact", refuse)
     calls = []
     kernel = allocation.area
     monkeypatch.setattr(allocation, "area", lambda *args: calls.append(args) or kernel(*args))
@@ -194,43 +196,19 @@ def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch, size, extra
 ])
 def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
     """Two groups of equal wires an ulp apart sharing fifteen extra sides:
-    C(30, 15) vectors lie in the near-tie box, but only 16 ascend over each
-    group; only those are scored, and only those count against the limit.
-    Permuting a group leaves a correctly rounded total unchanged, so the
-    winner ascends and a brute force over ascending vectors finds it."""
-    best_total, best = -math.inf, None
+    C(30, 15) vectors nearly tie, but permuting a group leaves the exact
+    total unchanged, so the first exact optimum ascends over each group and
+    a brute force over the vectors that ascend finds it: the fifteen longer
+    wires take the sides."""
+    best_total, best = -1, None
     for sides in grouped_ascending_vectors(lengths, 105):
-        total = total_area_for_allocation(lengths, sides)
+        total = exact_total(lengths, sides)
         if total > best_total:
             best_total, best = total, sides
+    assert best == tuple(4 if x > 1.0 else 3 for x in lengths)
     result = optimize_allocation(AllocationProblem(lengths, 105))
     assert result.sides == best
-    assert result.total_area == best_total
-
-
-def test_near_tie_count_matches_the_vectors_walked(monkeypatch):
-    """_near_ties yields, once each, the vectors a brute force over the spans
-    finds: summing to the total and ascending over each group of equal
-    lengths. The limit fires exactly when there are more of them than it."""
-    rng = random.Random(3)
-    for _ in range(2000):
-        wires = rng.randint(1, 6)
-        pool = (1.0, math.nextafter(1.0, 2.0), 2.0)[:rng.randint(1, 3)]
-        lengths = tuple(rng.choice(pool) for _ in range(wires))
-        spans = [range(low, low + rng.randint(1, 4)) for low in (rng.randint(3, 8) for _ in lengths)]
-        total = sum(span.start for span in spans) + rng.randint(0, 8)
-        expected = {vector for vector in itertools.product(*spans) if sum(vector) == total
-                    and all(vector[i] <= vector[j] for i, j in itertools.combinations(range(wires), 2)
-                            if lengths[i] == lengths[j])}
-        limit = len(expected) - rng.randint(0, 1)
-        monkeypatch.setattr(allocation, "CANDIDATE_LIMIT", limit)
-        if len(expected) > limit:
-            with pytest.raises(ResourceLimitError, match=f"^{len(expected)} near-tie allocations"):
-                list(allocation._near_ties(spans, total, lengths))
-        else:
-            walked = list(allocation._near_ties(spans, total, lengths))
-            assert len(walked) == len(set(walked))
-            assert set(walked) == expected
+    assert result.total_area == total_area_for_allocation(lengths, best)
 
 
 @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(3, 10_000)), min_size=1, max_size=12),
@@ -251,6 +229,55 @@ def ulp_chain(base, size):
     while len(chain) < size:
         chain.append(math.nextafter(chain[-1], math.inf))
     return tuple(chain)
+
+
+@functools.cache
+def reference_area(n):
+    """1/(4 n tan(pi/n)) to about 80 digits, apart from the package's kernel:
+    pi, sin and cos by the recipes of the decimal module's documentation,
+    summed at 90 digits."""
+    with localcontext(Context(prec=90)):
+        lasts, t, pi, k, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while pi != lasts:
+            lasts = pi
+            k, na = k + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * k) / d
+            pi += t
+        x = pi / n
+        sums = []
+        for i, term in ((1, x), (0, Decimal(1))):  # sin, then cos
+            lasts, total, fact, num, sign = 0, term, 1, term, 1
+            while total != lasts:
+                lasts = total
+                i += 2
+                fact *= i * (i - 1)
+                num *= x * x
+                sign *= -1
+                total += num / fact * sign
+            sums.append(total)
+        sin, cos = sums
+        return cos / (4 * n * sin)
+
+
+def exact_total(lengths, sides):
+    """sum(L**2 * g(n)) to about 80 digits, its terms added in ascending
+    order: permuting the counts of bit-equal lengths permutes equal terms,
+    so it leaves the sum as it is."""
+    with localcontext(Context(prec=90)):
+        return sum(sorted(Decimal(x) ** 2 * reference_area(n) for x, n in zip(lengths, sides)))
+
+
+def exact_best(lengths, budget):
+    """The exact optimum by brute force: the largest exact total and, of
+    equal ones, the lexicographically smallest vector."""
+    best_total, best = -1, None
+    heads = range(3, budget - 3 * (len(lengths) - 1) + 1)
+    for head in itertools.product(heads, repeat=len(lengths) - 1):
+        sides = head + (budget - sum(head),)
+        if sides[-1] >= 3 and (total := exact_total(lengths, sides)) > best_total:
+            best_total, best = total, sides
+    return best
 
 
 @st.composite
@@ -293,27 +320,25 @@ def test_ulp_chains_match_enumeration(base, picks, budget):
 
 def test_near_tie_scoring_takes_each_area_once(monkeypatch):
     """Twenty lengths one ulp apart share ten extra sides C(20, 10) = 184,756
-    ways; scoring looks each (wire, count) area up instead of taking k areas
-    per candidate."""
-    spans, calls = [], []
-    near_ties, kernel = allocation._near_ties, allocation.area
+    ways, and thirty share fifteen C(30, 15) ways; ranking the band's gains
+    exactly fills the exact kernel at most once per count, and only for the
+    counts in the band, whatever the number of near ties."""
 
-    def recording_near_ties(span_list, total, lengths):
-        spans.extend(span_list)
-        return near_ties(span_list, total, lengths)
+    class Fills(dict):
+        def __setitem__(self, n, value):
+            fills.append(n)
+            super().__setitem__(n, value)
 
-    def counting_area(shape, perimeter):
-        calls.append(perimeter)
-        return kernel(shape, perimeter)
-
-    monkeypatch.setattr(allocation, "_near_ties", recording_near_ties)
-    monkeypatch.setattr(allocation, "area", counting_area)
-    lengths = ulp_chain(1.0, 20)
-    result = optimize_allocation(AllocationProblem(lengths, 70))
-    assert spans and len(calls) <= sum(map(len, spans)) + len(lengths)
-    assert result.sides == (3,) * 10 + (4,) * 10
-    assert result.total_area.hex() == "0x1.1b2b05cfc1564p+0"
-    assert result.total_area == total_area_for_allocation(lengths, result.sides)
+    for wires, budget in ((20, 70), (30, 105)):
+        fills = []
+        monkeypatch.setattr(geometry, "_exact_areas", Fills())
+        lengths = ulp_chain(1.0, wires)
+        result = optimize_allocation(AllocationProblem(lengths, budget))
+        assert result.sides == (3,) * (wires // 2) + (4,) * (wires // 2)
+        assert sorted(fills) == [3, 4]
+        assert result.total_area == total_area_for_allocation(lengths, result.sides)
+        if wires == 20:
+            assert result.total_area.hex() == "0x1.1b2b05cfc1564p+0"
 
 
 @st.composite
@@ -334,7 +359,8 @@ def test_greedy_equals_enumeration(problem):
 
 
 def test_rounding_decides_near_ties():
-    # Exact totals a few ulps apart: only the float totals order these.
+    """Exact totals a few ulps apart, which float totals cannot order: the
+    optimizer's exact gains and the oracle's exact totals agree."""
     one_up = math.nextafter(1.0, 2.0)
     for lengths, budget in (
         ((one_up, 1.0), 9),
@@ -346,6 +372,81 @@ def test_rounding_decides_near_ties():
         slow = enumerate_allocations(problem)
         assert fast.sides == slow.sides
         assert fast.total_area == slow.total_area
+
+
+def test_three_lengths_an_ulp_apart_rank_by_exact_total():
+    """Float totals put (5, 6, 6) first, giving the shortest wire more sides
+    than the middle one; the exact optimum (6, 6, 5) is larger by 1.1e-17."""
+    lengths = (3.6338891343852056, 3.633889134385206, 3.633889134385205)
+    assert exact_total(lengths, (6, 6, 5)) - exact_total(lengths, (5, 6, 6)) > Decimal("1e-17")
+    problem = AllocationProblem(lengths, 17)
+    assert optimize_allocation(problem).sides == enumerate_allocations(problem).sides == (6, 6, 5)
+
+
+@pytest.mark.parametrize("low, high", [(4, 5), (3, 5), (6, 9)])
+def test_distinct_lengths_whose_next_gains_nearly_tie_rank_exactly(low, high):
+    """A wire of length 1 at `low` sides and a longer one at `high` sides,
+    its length y within two ulps of sqrt(d(low)/d(high)), d(m) = g(m+1) -
+    g(m), so that their next gains tie to a few ulps: the one side left goes
+    to the larger exact gain, whichever wire that is."""
+    with localcontext(Context(prec=90)):
+        ratio = (reference_area(low + 1) - reference_area(low)) / (reference_area(high + 1) - reference_area(high))
+        root = float(ratio.sqrt())
+    winners = set()
+    for y in ulp_chain(math.nextafter(math.nextafter(root, 0.0), 0.0), 5):
+        lengths, budget = (1.0, y), low + high + 1
+        best = exact_best(lengths, budget)
+        problem = AllocationProblem(lengths, budget)
+        assert optimize_allocation(problem).sides == enumerate_allocations(problem).sides == best
+        winners.add(best)
+    assert winners == {(low + 1, high), (low, high + 1)}
+
+
+def seeded_problems(rng, count):
+    """k = 2..4 wires with lengths an ulp or a few apart, random, or both,
+    some of them bit-equal, and up to 12 extra sides."""
+    for _ in range(count):
+        wires = rng.randint(2, 4)
+        chain = ulp_chain(rng.uniform(0.1, 10.0), rng.randint(1, 4))
+        pool = {
+            "ulp": chain,
+            "random": tuple(rng.uniform(0.1, 10.0) for _ in range(3)),
+            "mixed": chain + (rng.uniform(0.1, 10.0),),
+        }[rng.choice(("ulp", "random", "mixed"))]
+        lengths = tuple(rng.choice(pool) for _ in range(wires))
+        yield lengths, 3 * wires + rng.randint(0, (12, 10, 8)[wires - 2])
+
+
+def test_optimizer_and_oracle_match_an_exact_brute_force():
+    """Both return the largest exact total and, of equal ones, the smallest
+    vector, against an 80-digit brute force that shares no code with them."""
+    for lengths, budget in seeded_problems(random.Random(23), 300):
+        problem = AllocationProblem(lengths, budget)
+        best = exact_best(lengths, budget)
+        assert optimize_allocation(problem).sides == best, (lengths, budget)
+        assert enumerate_allocations(problem).sides == best, (lengths, budget)
+
+
+@st.composite
+def chained_problems(draw):
+    """Two to six wires drawn from lengths a few ulps apart, or from them
+    and other lengths, with up to 24 extra sides."""
+    chain = ulp_chain(draw(st.floats(0.1, 10.0)), draw(st.integers(2, 4)))
+    others = draw(st.lists(st.floats(0.1, 10.0), max_size=2))
+    wires = draw(st.integers(2, 6))
+    lengths = tuple(draw(st.sampled_from(chain + tuple(others))) for _ in range(wires))
+    return AllocationProblem(lengths, draw(st.integers(3 * wires, 3 * wires + 24)))
+
+
+@given(chained_problems())
+@settings(max_examples=200, deadline=None)
+def test_a_longer_wire_never_gets_fewer_sides(problem):
+    """Each gain of a longer wire beats the same gain of a shorter one, so at
+    the exact optimum a side never sits on the shorter wire at fewer sides."""
+    lengths, sides = problem.wire_lengths, optimize_allocation(problem).sides
+    for i, j in itertools.permutations(range(len(lengths)), 2):
+        if lengths[i] > lengths[j]:
+            assert sides[i] >= sides[j]
 
 
 def test_eight_wires_no_single_move_improves():
@@ -422,19 +523,22 @@ def _factor_exact(alpha, terms=8):
                for k in range(1, terms + 1))
 
 
-@pytest.mark.parametrize("n", [32, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9])
+@pytest.mark.parametrize("n", [*range(21, 32), 32, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9])
 def test_stationarity_factor_is_accurate_at_large_side_counts(n):
-    """The direct form's terms near 1/alpha cancel (2e-5 relative at n = 10**6);
-    eight series terms leave under 1e-20 relative for n >= 32."""
+    """The direct form's terms near 1/alpha cancel (107 ulps at n = 30, 2e-5
+    relative at n = 10**6); eight terms of the exact series leave under 1e-20
+    relative for n >= 21. The six-term float series is within 6 ulps there,
+    and within 2 from n = 32."""
     alpha = math.pi / n
     exact = _factor_exact(alpha)
-    assert abs(Fraction(allocation._factor_at(alpha)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+    ulps = 8 if n < 32 else 2
+    assert abs(Fraction(allocation._factor_at(alpha)) - exact) <= ulps * Fraction(math.ulp(float(exact)))
     assert stationarity_term(n, 1.0) == pytest.approx(float(exact) * alpha**2, rel=1e-15)
 
 
-def test_stationarity_factor_keeps_the_direct_form_up_to_31_sides():
-    """Residuals of allocations of at most 31 sides a wire stay bit-identical."""
-    for n in range(3, 32):
+def test_stationarity_factor_keeps_the_direct_form_up_to_20_sides():
+    """Residuals of allocations of at most 20 sides a wire stay bit-identical."""
+    for n in range(3, 21):
         alpha = math.pi / n
         cot = 1.0 / math.tan(alpha)
         assert allocation._factor_at(alpha) == alpha * cot * cot - cot + alpha
@@ -547,7 +651,7 @@ def count_work(monkeypatch):
 
 @pytest.mark.parametrize("lengths, budget", [
     ((1.0, 2.0, 3.0), 40),
-    ((1.0,) * 6, 25),  # equal wires: the near-tie check runs
+    ((1.0,) * 6, 25),  # equal wires: the band is formed
     ((0.5, 1.0, 1.0, 7.3), 2000),
 ])
 def test_second_solve_takes_no_tan_and_builds_no_shape(monkeypatch, fresh_tables, lengths, budget):
@@ -625,8 +729,10 @@ def test_side_limit_solve_fills_only_the_counts_it_touches():
 
 
 def test_concurrent_solves_match_serial(fresh_tables):
-    """Solves that fill the tables at the same time get the serial results."""
+    """Solves that fill the tables, and the exact kernel's values, at the
+    same time get the serial results."""
     problems = [AllocationProblem((1.0, 1.7, 2.9), budget) for budget in (900, 3100, 6300, 12700)]
+    problems += [AllocationProblem(ulp_chain(1.0, 12), budget) for budget in (40, 50, 60, 70)]
     serial = [optimize_allocation(p) for p in problems]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -634,6 +740,7 @@ def test_concurrent_solves_match_serial(fresh_tables):
         for _ in range(3):
             for name in TABLES:
                 getattr(allocation, name).clear()
+            geometry._exact_areas.clear()
             with ThreadPoolExecutor(max_workers=4) as pool:
                 assert list(pool.map(optimize_allocation, problems, timeout=60)) == serial
     finally:

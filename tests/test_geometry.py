@@ -5,7 +5,9 @@ import dataclasses
 import math
 import pickle
 import re
+import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,10 @@ from wirecut import (
     CIRCLE,
     PartitionProblem,
     Shape,
-    apothem,
     area,
     areas,
     cross_check,
-    half_angle,
+    geometry,
     parse_shape,
     regular,
     sigma,
@@ -27,23 +28,6 @@ from wirecut import (
 
 shape_st = st.one_of(st.integers(min_value=3, max_value=2000).map(Shape), st.just(CIRCLE))
 perimeter_st = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-def test_half_angle_goldens():
-    assert half_angle(Shape(6)) == pytest.approx(math.pi / 3, rel=1e-15)
-    assert half_angle(Shape(4)) == pytest.approx(math.pi / 4, rel=1e-15)
-    assert half_angle(CIRCLE) == math.pi / 2
-
-
-def test_half_angle_range():
-    for n in range(3, 500):
-        assert math.pi / 6 <= half_angle(Shape(n)) < math.pi / 2
-
-
-def test_apothem_goldens():
-    assert apothem(Shape(4), 12) == pytest.approx(1.5, rel=1e-12)
-    assert apothem(Shape(6), 12) == pytest.approx(math.sqrt(3), rel=1e-12)
-    assert apothem(CIRCLE, 2 * math.pi) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_area_goldens():
@@ -95,9 +79,12 @@ def test_ceiling_and_floor(shape, perimeter):
 
 
 def test_apothem_times_half_perimeter_is_area():
-    for shape in (Shape(3), Shape(7), Shape(12), CIRCLE):
-        p = 7.25
-        assert apothem(shape, p) * p / 2 == pytest.approx(area(shape, p), rel=1e-12)
+    # The apothem, the centre-to-side distance, is half a side over tan(pi/n).
+    p = 7.25
+    for n in (3, 7, 12):
+        apothem = p / (2 * n) / math.tan(math.pi / n)
+        assert apothem * p / 2 == pytest.approx(area(Shape(n), p), rel=1e-12)
+    assert p / (2 * math.pi) * p / 2 == pytest.approx(area(CIRCLE, p), rel=1e-12)
 
 
 def test_monotonic_in_sides_dense_prefix():
@@ -145,8 +132,6 @@ def test_negative_perimeter_rejected(bad):
     message = f"^{re.escape(f'perimeter must be a non-negative finite number, got {bad!r}')}$"
     with pytest.raises(ValueError, match=message):
         area(Shape(4), bad)
-    with pytest.raises(ValueError, match=message):
-        apothem(Shape(4), bad)
 
 
 # Perimeters area accepts: both zeros, subnormals, ints whose square a float
@@ -230,3 +215,21 @@ def test_tan_taken_once_per_shape(monkeypatch, shapes, resolution):
     checks = cross_check(problem, resolution)
     assert all(check.ok for check in checks)
     assert len(calls) <= sum(s != "circle" for s in shapes)
+
+
+def test_exact_area_matches_radicals_to_55_digits():
+    """tan(pi/n) in radicals, which share nothing with the kernel's series."""
+    with localcontext(Context(prec=80)):
+        root3, root5 = Decimal(3).sqrt(), Decimal(5).sqrt()
+        tangents = {3: root3, 4: Decimal(1), 5: (5 - 2 * root5).sqrt(), 6: 1 / root3,
+                    8: Decimal(2).sqrt() - 1, 10: (1 - 2 / root5).sqrt(), 12: 2 - root3}
+        for n, tangent in tangents.items():
+            expected = 1 / (4 * n * tangent)
+            assert abs(geometry._unit_area_exact(n) - expected) <= expected * Decimal("1e-55"), n
+            assert float(geometry._unit_area_exact(n)) == pytest.approx(area(Shape(n), 1.0), rel=1e-15)
+
+
+def test_importing_the_cli_loads_no_decimal():
+    script = "import sys, wirecut.cli; print('decimal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
