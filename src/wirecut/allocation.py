@@ -25,16 +25,14 @@ and the total is their correctly rounded sum (math.fsum; Shewchuk 1997).
 The continuous first-order conditions have no closed form; they are kept
 only as residual diagnostics on the integer winner.
 
-Every value that depends only on a side count n (the excess, the gain's
-numerator and denominator, the rate behind a wire's share of the total, the
-stationarity score's angle and factor, and the Shape) sits in a table per
-value, a dict that computes and keeps the entry for n on its first lookup. A
-process computes each once, for the counts its solves touch; import fills
-nothing and nothing that depends on the lengths is kept. Every rate is at
-least 4 pi > 12, so sum(weights)/12 bounds the total from above: the total
-and the tolerance are formed only when the wider band that bound gives
-still leaves a wire a side to give. Float rounding is monotone, so
-every decision stays as it was.
+Every value that depends only on a side count n (the excess, the unit
+gain of the (n+1)-th side, the stationarity score's factor, and the Shape)
+sits in a table per value, a dict that computes and keeps the entry for n
+on its first lookup. A process computes each once, for the counts its
+solves touch; import fills nothing and nothing that depends on the lengths
+is kept. The tolerance scales with sum(weights)/12, which bounds the total
+area from above (an n-gon of weight w encloses w/(4 pi (1 + excess)) < w/12);
+inside the band the exact sort decides, so a wider band changes no result.
 """
 
 import math
@@ -53,9 +51,11 @@ __all__ = [
     "stationarity_residual",
 ]
 
-# Most sides one wire can receive, I - 3(k-1). Float areas increase strictly
-# with every added side up to this count; past it rounding noise, not the
-# geometry, decides which allocation has the largest float total.
+# Most sides one wire can receive, I - 3(k-1). It bounds the exact band's
+# work, which grows about as the fourth power of the side count: lengths
+# (1, 1.3) take 36 exact areas (1.1 ms on a 2-vCPU Xeon VM) at this limit,
+# and would take 588, 8,806 and 52,118 (17 ms, 0.24 s, 1.4 s) at two, four
+# and eight times it.
 SIDE_LIMIT = 20_000
 
 # tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
@@ -124,9 +124,7 @@ def total_area_for_allocation(lengths, sides) -> float:
     sides = _sequence(sides, "sides", "side counts")
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
-    # Only counts a solve can use are kept; 4.0, True, [4] and the rest meet Shape's checks.
-    return math.fsum([area(_polygon[n] if type(n) is int and n <= SIDE_LIMIT + 1 else Shape(n), x)
-                      for n, x in zip(sides, lengths)])
+    return math.fsum([area(Shape(n), x) for n, x in zip(sides, lengths)])
 
 
 class _Table(dict):
@@ -171,15 +169,12 @@ def _factor_at(alpha: float) -> float:
     return acc * alpha
 
 
-# The (n+1)-th side of a wire of weight w adds w * _drop[n] / _spread[n], a
-# form free of the cancellation in g(n+1) - g(n); bent into an n-gon it
-# encloses w / _rate[n] in units of the longest wire's length squared.
+# The (n+1)-th side of a wire of weight w adds w * _gain[n] in units of the
+# longest wire's length squared, a form free of the cancellation in g(n+1) - g(n).
 _excess = _Table(_tan_excess)
-_drop = _Table(lambda n: _excess[n] - _excess[n + 1])
-_rate = _Table(lambda n: 4.0 * math.pi * (1.0 + _excess[n]))
-_spread = _Table(lambda n: _rate[n] * (1.0 + _excess[n + 1]))
-_angle = _Table(lambda n: math.pi / n)
-_factor = _Table(lambda n: _factor_at(_angle[n]))
+_gain = _Table(lambda n: (_excess[n] - _excess[n + 1])
+               / (4.0 * math.pi * (1.0 + _excess[n]) * (1.0 + _excess[n + 1])))
+_factor = _Table(lambda n: _factor_at(math.pi / n))
 _polygon = _Table(Shape)
 
 
@@ -199,7 +194,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
             "up to which float areas grow with every side"
         )
-    drop, spread, inf = _drop, _spread, math.inf
+    gain, inf = _gain, math.inf
     # Weights relative to the longest wire, so that no gain over- or underflows.
     longest = max(lengths)
     weights = [(x / longest) ** 2 for x in lengths]
@@ -213,8 +208,8 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     for i, w in enumerate(weights):
         n = 3 + int(scale * roots[i])
         sides.append(n)
-        nexts.append((w * drop[n] / spread[n], i))
-        lasts.append((w * drop[n - 1] / spread[n - 1] if n > 3 else inf, i))
+        nexts.append((w * gain[n], i))
+        lasts.append((w * gain[n - 1] if n > 3 else inf, i))
     # Hand out what the floors leave (under k sides), then move sides while that gains.
     left = budget - sum(sides)
     while True:
@@ -229,44 +224,40 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
             sides[j] -= 1
             nexts[j] = bottom
             n = sides[j] - 1
-            lasts[j] = (weights[j] * drop[n] / spread[n] if n > 2 else inf, j)
+            lasts[j] = (weights[j] * gain[n] if n > 2 else inf, j)
         i = top[1]
         n = sides[i] = sides[i] + 1
-        lasts[i], nexts[i] = top, (weights[i] * drop[n] / spread[n], i)
+        lasts[i], nexts[i] = top, (weights[i] * gain[n], i)
     best_rejected, worst_accepted = top[0], bottom[0]
 
     # Float gains misorder only gains within their rounding error, far below
     # the tolerance, so the exact optimum differs from the greedy's only in
-    # sides whose gains lie within it of the cutoff. Every rate is at least
-    # 4 pi > 12 and rounding is monotone, so sum(weights) / 12 bounds the
-    # total: where even the band it gives leaves no wire a side to give, the
-    # total is not formed.
-    unit = (wires + 8) * 2.0**-50
-    if worst_accepted <= best_rejected + unit * (sum(weights) / 12):
-        tolerance = unit * sum([w / _rate[n] for w, n in zip(weights, sides)])
-        ceiling = best_rejected + tolerance
-        if worst_accepted <= ceiling:  # else no wire has a side to give
-            # A wire can only take as many sides as the others can give, and
-            # back; most stop at the last or next gain the repair already holds.
-            removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
-                         for (last, _), w, n in zip(lasts, weights, sides)]
-            given = sum(removable)
-            floor = worst_accepted - tolerance
-            addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
-                       for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
-            taken = sum(addable)
-            spans = [range(n - min(r, taken - a), n + a + 1)
-                     for n, r, a in zip(sides, removable, addable)]
-            # One length and at most two counts: one group of equal wires alone
-            # moves, by single sides, and the greedy's vector is the first tie.
-            # Otherwise the removable sides go to the band's largest exact gains.
-            if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
-                band = _exact_gains(lengths, longest, sides, removable, addable)
-                sides = [n - r for n, r in zip(sides, removable)]
-                for _, i in sorted(band, reverse=True)[:given]:
-                    sides[i] += 1
+    # sides whose gains lie within it of the cutoff. sum(weights) / 12 bounds
+    # the total area from above; the exact sort decides inside the band.
+    tolerance = (wires + 8) * 2.0**-50 * sum(weights) / 12
+    ceiling = best_rejected + tolerance
+    if worst_accepted <= ceiling:  # else no wire has a side to give
+        # A wire can only take as many sides as the others can give, and
+        # back; most stop at the last or next gain the repair already holds.
+        removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
+                     for (last, _), w, n in zip(lasts, weights, sides)]
+        given = sum(removable)
+        floor = worst_accepted - tolerance
+        addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
+                   for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
+        taken = sum(addable)
+        spans = [range(n - min(r, taken - a), n + a + 1)
+                 for n, r, a in zip(sides, removable, addable)]
+        # One length and at most two counts: one group of equal wires alone
+        # moves, by single sides, and the greedy's vector is the first tie.
+        # Otherwise the removable sides go to the band's largest exact gains.
+        if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
+            band = _exact_gains(lengths, longest, sides, removable, addable)
+            sides = [n - r for n, r in zip(sides, removable)]
+            for _, i in sorted(band, reverse=True)[:given]:
+                sides[i] += 1
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
-    terms = _scores(map(_angle.__getitem__, sides), map(_factor.__getitem__, sides), lengths)
+    terms = _scores([math.pi / n for n in sides], map(_factor.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
 
 
@@ -291,7 +282,7 @@ def _run(weight: float, counts, low: float, high: float) -> int:
     area between low and high."""
     run = 0
     for m in counts:
-        if not low <= weight * _drop[m] / _spread[m] <= high:
+        if not low <= weight * _gain[m] <= high:
             break
         run += 1
     return run

@@ -15,6 +15,7 @@ class ResourceLimitError(WirecutError):
     """A problem exceeds a built-in size guard.
 
     The oracle refuses scans beyond its sample limit. The allocation optimizer
-    refuses budgets that could give one wire more than 20,000 sides, past
-    which float areas no longer grow with every side.
+    refuses budgets that could give one wire more than 20,000 sides, which
+    bounds its exact ranking's work: that grows about as the fourth power of
+    the side count.
     """
