@@ -192,7 +192,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     if widest > SIDE_LIMIT:
         raise ResourceLimitError(
             f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
-            "up to which float areas grow with every side"
+            "that bounds the work of ranking near-tied gains exactly"
         )
     gain, inf = _gain, math.inf
     # Weights relative to the longest wire, so that no gain over- or underflows.

@@ -8,14 +8,15 @@ Problems come from inline flags or from a JSON problem file with the schema
      "lengths": [1.0, 2.0], "side_budget": 9}        allocation only
 
 Only this module reads it. `main` runs every subcommand through one
-pipeline: `_problem` lays the inline flags over the --file object (or over
-{"mode": m}; verify keeps its file's own mode) and decodes it in `_decode`,
-the subcommand's handler solves it and returns its table lines, JSON
-payload (problems echoed through `_encode`) and exit code, and `_emit`
-prints them. Comma lists such as --shapes 4,3 are flag syntax; in a file,
-shapes and lengths are JSON lists.
-The command table `_COMMANDS` gives each subcommand its mode, handler and
-extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
+pipeline, `_problem` -> handler -> payload -> JSON or table. `_problem`
+lays the inline flags over the --file object (or over {"mode": m}; verify
+keeps its file's own mode) and decodes it in `_decode`; the handler solves
+it and returns its payload (problems echoed through `_encode`) and exit
+code; `main` prints the payload through `_json` alone, or through the
+table alone once `_finite` finds no NaN or inf. Comma lists such as
+--shapes 4,3 are flag syntax; in a file, shapes and lengths are JSON lists.
+The command table `_COMMANDS` gives each subcommand its mode, handler,
+table and extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
 `main` builds the parser on its first call and reuses it for the process.
 When the first argument names a subcommand, `main` reads the rest in
 `_plain` if it holds only that subcommand's flags, spelled in full, each
@@ -33,6 +34,7 @@ guard tripped.
 
 import argparse
 import json
+import math
 import sys
 
 from .allocation import AllocationProblem, optimize_allocation
@@ -144,21 +146,42 @@ def _problem(args):
     return _decode(data)
 
 
-# The encoders json.dumps would build on every call: compact for the finiteness
-# check of a table, indented for --format json.
-_COMPACT = json.JSONEncoder(allow_nan=False)
-_INDENTED = json.JSONEncoder(indent=2, allow_nan=False)
+_NOT_FINITE = "result is not a finite number (lengths or areas beyond the float range)"
+_quote = json.encoder.encode_basestring_ascii
 
 
-def _emit(args, lines: list, payload: dict):
-    # Serialized for tables too, so that NaN and inf raise ValueError in both formats.
-    try:
-        text = (_INDENTED if args.format == "json" else _COMPACT).encode(
-            {"command": args.command, **payload})
-    except ValueError:
-        raise ValueError("result is not a finite number "
-                         "(lengths or areas beyond the float range)") from None
-    print(text if args.format == "json" else "\n".join(lines))
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, allow_nan=False) byte for byte, keys being str; the stdlib
+    encoder indents only in pure Python. ValueError on NaN and inf, TypeError on other types."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(_NOT_FINITE)
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _finite(container) -> None:
+    """ValueError if a dict, list or tuple holds NaN or inf at any depth: the
+    values _json refuses, so that a table fails wherever the JSON would."""
+    for item in container.values() if isinstance(container, dict) else container:
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                raise ValueError(_NOT_FINITE)
+        elif isinstance(item, (dict, list, tuple)):
+            _finite(item)
 
 
 def _cmd_partition(args, problem):
@@ -166,68 +189,80 @@ def _cmd_partition(args, problem):
         result = minimize_partition(problem)
     else:
         result = paper_face_max(problem) if args.paper_face_max else maximize_partition(problem)
-    lines = [f"{'kind':<10} {result.kind}"]
-    if result.excluded_index is not None:
-        lines.append(f"{'excluded':<10} index {result.excluded_index}")
+    return {"problem": _encode(problem), "result": vars(result)}, EXIT_OK
+
+
+def _partition_table(problem, result):
+    lines = [f"{'kind':<10} {result['kind']}"]
+    if result["excluded_index"] is not None:
+        lines.append(f"{'excluded':<10} index {result['excluded_index']}")
     lines.append(f"{'shape':>8} {'length':>10} {'area':>10}")
-    for shape, length, shape_area in zip(problem.shapes, result.lengths, result.per_shape_areas):
+    for shape, length, shape_area in zip(problem["shapes"], result["lengths"], result["per_shape_areas"]):
         lines.append(f"{str(shape):>8} {_fmt(length):>10} {_fmt(shape_area):>10}")
-    lines.append(f"{'total':>8} {_fmt(sum(result.lengths)):>10} {_fmt(result.total_area):>10}")
-    return lines, {"problem": _encode(problem), "result": vars(result)}, EXIT_OK
+    lines.append(f"{'total':>8} {_fmt(sum(result['lengths'])):>10} {_fmt(result['total_area']):>10}")
+    return lines
 
 
 def _cmd_bounds(args, query):
-    problem = query.problem
     intervals = solve_equal_perimeter(query)
-    roots = threshold_roots(problem, query.threshold)
-    band = feasibility_range(problem, query.threshold)
-    lines = [
-        f"{'sense':<18} {query.sense}",
-        f"{'threshold':<18} {_fmt(query.threshold)}",
-        f"{'domain':<18} (0.000, {_fmt(intervals.domain[1])})",
-        f"{'threshold band':<18} [{_fmt(band.a_low)}, {_fmt(band.a_high)}]",
-        f"{'roots':<18} " + (f"{_fmt(roots[0])}, {_fmt(roots[1])}" if roots else "none"),
-        f"{'intervals':<18} "
-        + (" ".join(f"({_fmt(lo)}, {_fmt(hi)})" for lo, hi in intervals.intervals) or "empty"),
-    ]
+    roots = threshold_roots(query.problem, query.threshold)
+    band = feasibility_range(query.problem, query.threshold)
     result = {"domain": intervals.domain, "roots": roots, "intervals": intervals.intervals}
-    return lines, {"problem": _encode(query), "result": result | vars(band)}, EXIT_OK
+    return {"problem": _encode(query), "result": result | vars(band)}, EXIT_OK
+
+
+def _bounds_table(problem, result):
+    return [
+        f"{'sense':<18} {problem['sense']}",
+        f"{'threshold':<18} {_fmt(problem['threshold'])}",
+        f"{'domain':<18} (0.000, {_fmt(result['domain'][1])})",
+        f"{'threshold band':<18} [{_fmt(result['a_low'])}, {_fmt(result['a_high'])}]",
+        f"{'roots':<18} " + (", ".join(map(_fmt, result["roots"] or ())) or "none"),
+        f"{'intervals':<18} "
+        + (" ".join(f"({_fmt(lo)}, {_fmt(hi)})" for lo, hi in result["intervals"]) or "empty"),
+    ]
 
 
 def _cmd_allocate(args, problem):
-    result = optimize_allocation(problem)
+    return {"problem": _encode(problem), "result": vars(optimize_allocation(problem))}, EXIT_OK
+
+
+def _allocate_table(problem, result):
     lines = [f"{'wire':>6} {'length':>10} {'sides':>7} {'area':>10}"]
-    for i, (length, n, wire_area) in enumerate(
-        zip(problem.wire_lengths, result.sides, result.per_wire_areas)
-    ):
+    rows = zip(problem["lengths"], result["sides"], result["per_wire_areas"])
+    for i, (length, n, wire_area) in enumerate(rows):
         lines.append(f"{i:>6} {_fmt(length):>10} {n:>7} {_fmt(wire_area):>10}")
-    lines.append(f"{'total':>6} {'':>10} {sum(result.sides):>7} {_fmt(result.total_area):>10}")
-    lines.append("residuals " + (" ".join(map(_fmt, result.residuals)) or "-"))
-    return lines, {"problem": _encode(problem), "result": vars(result)}, EXIT_OK
+    lines.append(f"{'total':>6} {'':>10} {sum(result['sides']):>7} {_fmt(result['total_area']):>10}")
+    lines.append("residuals " + (" ".join(map(_fmt, result["residuals"])) or "-"))
+    return lines
 
 
 def _cmd_verify(args, problem):
     checks = cross_check(problem, args.resolution)
     all_ok = all(item.ok for item in checks)
-    lines = [
-        f"{item.check:<40} deviation {item.deviation:.3e} "
-        f"bound {item.bound:.3e} {'ok' if item.ok else 'FAIL'}"
-        for item in checks
-    ]
-    lines.append("verification " + ("passed" if all_ok else "FAILED"))
     payload = {"file": args.file, "checks": [vars(item) for item in checks], "ok": all_ok}
-    return lines, payload, EXIT_OK if all_ok else EXIT_MISMATCH
+    return payload, EXIT_OK if all_ok else EXIT_MISMATCH
+
+
+def _verify_table(file, checks, ok):
+    lines = [f"{item['check']:<40} deviation {item['deviation']:.3e} "
+             f"bound {item['bound']:.3e} {'ok' if item['ok'] else 'FAIL'}" for item in checks]
+    lines.append("verification " + ("passed" if ok else "FAILED"))
+    return lines
 
 
 # Each subcommand: the mode whose problem-field flags it takes (verify reads
-# the mode from its file), its handler, its help, and its other flags.
+# the mode from its file), its handler, its table, its help, and its other flags.
 _COMMANDS = {
-    "min": ("partition", _cmd_partition, "minimum-area partition of the wire", ()),
-    "max": ("partition", _cmd_partition, "maximum-area partition of the wire", ("--paper-face-max",)),
-    "bounds": ("bounds", _cmd_bounds, "where the total area beats or stays under a threshold", ()),
-    "allocate": ("allocation", _cmd_allocate, "best split of a side budget across wires", ()),
-    "verify": (None, _cmd_verify, "cross-check a problem file against the brute-force oracle",
-               ("--resolution",)),
+    "min": ("partition", _cmd_partition, _partition_table, "minimum-area partition of the wire", ()),
+    "max": ("partition", _cmd_partition, _partition_table, "maximum-area partition of the wire",
+            ("--paper-face-max",)),
+    "bounds": ("bounds", _cmd_bounds, _bounds_table,
+               "where the total area beats or stays under a threshold", ()),
+    "allocate": ("allocation", _cmd_allocate, _allocate_table,
+                 "best split of a side budget across wires", ()),
+    "verify": (None, _cmd_verify, _verify_table,
+               "cross-check a problem file against the brute-force oracle", ("--resolution",)),
 }
 # The argparse keywords of every flag but --file.
 _FLAGS = {
@@ -253,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.plain = {}  # each subcommand's actions by full flag name, and its defaults
-    for command, (mode, handler, text, extra) in _COMMANDS.items():
+    for command, (mode, handler, _, text, extra) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=text)
         actions = [command_parser.add_argument("--file", required=mode is None,
                                                help="JSON problem file")]
@@ -304,8 +339,12 @@ def main(argv=None) -> int:
     args = ((_plain(argv[1:], *_parser.plain[argv[0]]) or command.parse_args(argv[1:]))
             if command else _parser.parse_args(argv))
     try:
-        lines, payload, code = args.handler(args, _problem(args))
-        _emit(args, lines, payload)
+        payload, code = args.handler(args, _problem(args))
+        if args.format == "json":
+            print(_json({"command": args.command, **payload}))
+        else:
+            _finite(payload)
+            print("\n".join(_COMMANDS[args.command][2](**payload)))
         return code
     except (InfeasibleBudgetError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,7 +121,8 @@ def test_resource_guard():
     assert optimize_allocation(AllocationProblem((1.0,) * 12, 200)).sides.count(17) == 8
     # The guard is on I - 3(k-1), the most sides one wire can get.
     assert sum(optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20006)).sides) == 20006
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="one wire could get 20001 sides, over the limit of "
+                       "20000 that bounds the work of ranking near-tied gains exactly"):
         optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20007))
     with pytest.raises(ResourceLimitError):
         optimize_allocation(AllocationProblem((1.0,) * 8, 100000))

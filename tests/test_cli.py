@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -279,6 +280,88 @@ def test_json_output_rejects_nan(capsys):
             assert out == ""
             assert "error: result is not a finite number" in err
             assert "beyond the float range" in err
+
+
+def test_non_finite_field_no_table_prints_exits_2(capsys, monkeypatch):
+    """l_high is in the JSON payload but not in the table; both formats refuse it."""
+    real = cli.feasibility_range
+    monkeypatch.setattr(cli, "feasibility_range",
+                        lambda *args: replace(real(*args), l_high=math.inf))
+    for output in ("table", "json"):
+        code, out, err = run(capsys, "bounds", "--length", "10", "--shapes", "4,3", "--area", "5",
+                             "--sense", "lower", "--format", output)
+        assert (code, out) == (2, ""), output
+        assert err == ("error: result is not a finite number "
+                       "(lengths or areas beyond the float range)\n")
+
+
+# Payload-shaped values: str keys, lists, tuples, floats at the edges of the
+# range, ints past 64 bits, and strings with non-ASCII and control characters.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7976931348623157e308)),
+    st.text(), st.text(alphabet=st.characters(max_codepoint=0x9f)),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
+    cli._finite([value])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((math.nan, math.inf, -math.inf)), st.data())
+def test_json_writer_and_table_check_refuse_non_finite_at_any_depth(bad, data):
+    value = bad
+    for _ in range(data.draw(st.integers(1, 4))):
+        siblings = data.draw(st.lists(JSON_VALUES, max_size=3))
+        siblings.insert(data.draw(st.integers(0, len(siblings))), value)
+        kind = data.draw(st.sampled_from((list, tuple, dict)))
+        value = {f"k{i}": item for i, item in enumerate(siblings)} if kind is dict else kind(siblings)
+    with pytest.raises(ValueError):
+        json.dumps(value, allow_nan=False)
+    with pytest.raises(ValueError, match="result is not a finite number"):
+        cli._json(value)
+    with pytest.raises(ValueError, match="result is not a finite number"):
+        cli._finite(value)
+
+
+def test_json_writer_refuses_other_types():
+    for value in ({1, 2}, b"ab", {"a": object()}, [1.5, {"b": range(2)}], {1: 2}):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def test_each_format_does_only_its_own_work(capsys, monkeypatch):
+    """A JSON request formats no table cell, and a table request writes no JSON."""
+    calls = {"_fmt": 0, "_json": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(cli, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cli, name, counting)
+    for argv, name in [(["min"], "partition_square_triangle.json"),
+                       (["max", "--paper-face-max"], "partition_square_triangle.json"),
+                       (["bounds"], "bounds_three_shapes.json"),
+                       (["allocate"], "allocation_two_wires.json"),
+                       (["verify"], "partition_square_triangle.json")]:
+        for output in ("table", "json"):
+            calls.update(_fmt=0, _json=0)
+            code, out, _ = run(capsys, *argv, "--file", str(PROBLEMS / name), "--format", output)
+            assert code == 0 and out
+            if output == "json":
+                assert calls["_fmt"] == 0 and calls["_json"] > 0, argv
+            else:
+                assert calls["_json"] == 0 and (calls["_fmt"] > 0 or argv == ["verify"]), argv
 
 
 @pytest.mark.parametrize("resolution", ["0", "1"])
