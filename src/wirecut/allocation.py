@@ -36,11 +36,10 @@ inside the band the exact sort decides, so a wider band changes no result.
 """
 
 import math
-from dataclasses import dataclass
 from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, _check_count, _check_positive, _sequence, _unit_area_exact, area, areas
+from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, _unit_area_exact, area, areas
 
 __all__ = [
     "AllocationProblem",
@@ -81,30 +80,28 @@ _FACTOR_SERIES = (
 )
 
 
-@dataclass(frozen=True)
-class AllocationProblem:
+class AllocationProblem(_Record):
     """Wire lengths plus the total number of polygon sides to hand out."""
 
     wire_lengths: tuple[float, ...]
     side_budget: int
 
-    def __post_init__(self):
-        lengths = _sequence(self.wire_lengths, "wire lengths", "numbers")
+    def __init__(self, wire_lengths, side_budget):
+        lengths = _sequence(wire_lengths, "wire lengths", "numbers")
         if len(lengths) < 2:
             raise ValueError("an allocation problem needs at least two wires")
         for x in lengths:
             _check_positive(x, "wire length")
-        budget = self.side_budget
-        _check_count(budget, "side budget")
-        if budget < 3 * len(lengths):
+        _check_count(side_budget, "side budget")
+        if side_budget < 3 * len(lengths):
             raise InfeasibleBudgetError(
-                f"budget {budget} cannot give {len(lengths)} wires 3 sides each"
+                f"budget {side_budget} cannot give {len(lengths)} wires 3 sides each"
             )
         object.__setattr__(self, "wire_lengths", tuple(map(float, lengths)))
+        object.__setattr__(self, "side_budget", side_budget)
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(_Record):
     """Winning side counts with per-wire areas and stationarity residuals."""
 
     sides: tuple[int, ...]
@@ -112,7 +109,6 @@ class AllocationResult:
     total_area: float
     residuals: tuple[float, ...]
 
-    # One dict update in place of the generated __init__'s call per field.
     def __init__(self, sides, per_wire_areas, total_area, residuals):
         self.__dict__.update(sides=sides, per_wire_areas=per_wire_areas,
                              total_area=total_area, residuals=residuals)

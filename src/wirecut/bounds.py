@@ -20,10 +20,9 @@ constrained minimum or above the domain supremum.
 """
 
 import math
-from dataclasses import dataclass
 
 from .extrema import PartitionProblem
-from .geometry import _check_positive, sigma
+from .geometry import _check_positive, _Record, sigma
 
 __all__ = [
     "IntervalSet",
@@ -43,15 +42,13 @@ _WIDTH_FLOOR = 1e-12
 _SENSES = ("lower", "upper")
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(_Record):
     """Disjoint open intervals, ascending, inside the feasible domain
     (0, L/k); the solution set of one query."""
 
     intervals: tuple[tuple[float, float], ...]
     domain: tuple[float, float]
 
-    # One dict update in place of the generated __init__'s call per field.
     def __init__(self, intervals, domain):
         self.__dict__.update(intervals=intervals, domain=domain)
 
@@ -63,8 +60,7 @@ class IntervalSet:
         return any(lo < x < hi for lo, hi in self.intervals)
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class BoundQuery(_Record):
     """Ask where the total area strictly exceeds (lower) or stays under
     (upper) the threshold, under the shared-perimeter convention."""
 
@@ -72,17 +68,18 @@ class BoundQuery:
     threshold: float
     sense: str
 
-    def __post_init__(self):
-        if not isinstance(self.problem, PartitionProblem):
-            raise TypeError(f"cannot query the bounds of a {type(self.problem).__name__}")
-        _check_positive(self.threshold, "threshold")
-        if self.sense not in _SENSES:
-            raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")
-        object.__setattr__(self, "threshold", float(self.threshold))
+    def __init__(self, problem, threshold, sense):
+        if not isinstance(problem, PartitionProblem):
+            raise TypeError(f"cannot query the bounds of a {type(problem).__name__}")
+        _check_positive(threshold, "threshold")
+        if sense not in _SENSES:
+            raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "threshold", float(threshold))
+        object.__setattr__(self, "sense", sense)
 
 
-@dataclass(frozen=True)
-class FeasibilityRange:
+class FeasibilityRange(_Record):
     """Threshold band [a_low, a_high] for which both senses get nontrivial
     solutions, plus length diagnostics when a threshold is supplied.
 
@@ -98,7 +95,6 @@ class FeasibilityRange:
     l_high: float | None = None
     x_hat: float | None = None
 
-    # One dict update in place of the generated __init__'s call per field.
     def __init__(self, a_low, a_high, l_low=None, l_high=None, x_hat=None):
         self.__dict__.update(a_low=a_low, a_high=a_high, l_low=l_low, l_high=l_high, x_hat=x_hat)
 

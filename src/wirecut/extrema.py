@@ -8,10 +8,9 @@ Boundary stationary points (one piece pinned to zero) are exposed as
 diagnostics; they are minima of the restricted problem, not maxima.
 """
 
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .geometry import Shape, _check_count, _check_positive, _sequence, areas, parse_shape
+from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, areas, parse_shape
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -33,24 +32,22 @@ FACE_STATIONARY = "face-stationary"
 GRID_SAMPLE = "grid-sample"
 
 
-@dataclass(frozen=True)
-class PartitionProblem:
+class PartitionProblem(_Record):
     """A wire of positive total length cut into one piece per listed shape."""
 
     total_length: float
     shapes: tuple[Shape, ...]
 
-    def __post_init__(self):
-        _check_positive(self.total_length, "total length")
-        shapes = tuple(map(parse_shape, _sequence(self.shapes, "shapes", "shapes")))
+    def __init__(self, total_length, shapes):
+        _check_positive(total_length, "total length")
+        shapes = tuple(map(parse_shape, _sequence(shapes, "shapes", "shapes")))
         if len(shapes) < 2:
             raise ValueError("a partition problem needs at least two shapes")
-        object.__setattr__(self, "total_length", float(self.total_length))
+        object.__setattr__(self, "total_length", float(total_length))
         object.__setattr__(self, "shapes", shapes)
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(_Record):
     """Piece lengths with their areas and a tag describing the kind of point.
 
     ``excluded_index`` is set only for face-stationary results and names the
@@ -63,7 +60,6 @@ class PartitionResult:
     total_area: float
     excluded_index: int | None = None
 
-    # One dict update in place of the generated __init__'s call per field.
     def __init__(self, kind, lengths, per_shape_areas, total_area, excluded_index=None):
         self.__dict__.update(kind=kind, lengths=lengths, per_shape_areas=per_shape_areas,
                              total_area=total_area, excluded_index=excluded_index)

@@ -6,9 +6,12 @@ marks an efficient encloser. The circle is a distinct variant rather than a
 huge-n polygon, which keeps its limiting values (sigma = pi, area =
 P**2 / (4*pi)) exact instead of suffering cancellation in tan near pi/2.
 
-Each Shape computes its weight once, when it is built, and keeps it outside
-its dataclass fields, so ``sigma`` is a lookup while equality, hashing, repr,
-copies and ``dataclasses.replace`` see only the side count.
+Each Shape computes its weight once, when it is built, and keeps it in an
+attribute that is not one of its fields, so ``sigma`` is a lookup while
+equality, hashing and repr see only the side count; copies and pickles carry
+the weight along, and ``dataclasses.replace`` computes it afresh. Every
+record of the package, problem or result, derives from ``_Record``, defined
+here as the lowest module.
 
 ``areas`` is ``area`` over a list of pieces in one call: where every
 perimeter is a finite non-negative float, which ``area`` would accept, it
@@ -20,7 +23,7 @@ of ``_unit_area_exact``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 __all__ = [
     "Shape",
@@ -33,20 +36,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Shape:
+class _Record:
+    """Base of the package's records: a subclass declares its fields as
+    annotations and fills them in its own ``__init__``.
+
+    A problem sets each field with ``object.__setattr__``, which keeps the
+    values inside the instance. Reading ``__dict__`` would give each instance
+    a dict of its own, which on CPython 3.11 doubles its memory and slows the
+    reads the solvers make on every call. A result, built once per solve and
+    rarely read, fills its ``__dict__`` in one ``update``, which builds faster.
+
+    The subclass becomes a dataclass that generates no method, so
+    ``dataclasses.fields``, ``replace`` and ``asdict`` see its fields, and this
+    base supplies what ``frozen=True`` would generate: equality of the field
+    tuples between records of one class, the hash of that tuple, the repr
+    ``Name(field=value, ...)``, and ``FrozenInstanceError`` on any assignment
+    or deletion. Copy and pickle restore ``__dict__`` directly, as they do for
+    a frozen dataclass.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        cls._field_names = tuple(field.name for field in fields(cls))
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._field_names])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            [f"{name}={getattr(self, name)!r}" for name in self._field_names]) + ")"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Shape(_Record):
     """A regular polygon with ``sides >= 3``, or the circle limit (``sides=None``)."""
 
     sides: int | None
 
-    def __post_init__(self):
-        n = self.sides
-        if n is not None:
-            _check_count(n, "side count")
-            if n < 3:
-                raise ValueError(f"a polygon needs at least 3 sides, got {n}")
+    def __init__(self, sides):
+        if sides is not None:
+            _check_count(sides, "side count")
+            if sides < 3:
+                raise ValueError(f"a polygon needs at least 3 sides, got {sides}")
+        object.__setattr__(self, "sides", sides)
         # n * tan(pi/n) is n / tan of the half interior angle, well-conditioned for large n.
-        object.__setattr__(self, "_sigma", math.pi if n is None else n * math.tan(math.pi / n))
+        weight = math.pi if sides is None else sides * math.tan(math.pi / sides)
+        object.__setattr__(self, "_sigma", weight)
 
     @property
     def is_circle(self) -> bool:

@@ -15,7 +15,6 @@ the area kernels themselves, so agreement is evidence.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add, mul, sub, truediv
 
@@ -23,7 +22,7 @@ from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult
 from .errors import ResourceLimitError
 from .extrema import GRID_SAMPLE, PartitionProblem, PartitionResult
-from .geometry import Shape, _check_count, _unit_area_exact, area
+from .geometry import Shape, _check_count, _Record, _unit_area_exact, area
 
 __all__ = [
     "GridSpec",
@@ -40,16 +39,16 @@ _SAMPLE_LIMIT = 10**8
 _BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Number of lattice steps along each simplex edge."""
 
     resolution: int
 
-    def __post_init__(self):
-        _check_count(self.resolution, "resolution")
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be at least 2, got {self.resolution}")
+    def __init__(self, resolution):
+        _check_count(resolution, "resolution")
+        if resolution < 2:
+            raise ValueError(f"resolution must be at least 2, got {resolution}")
+        object.__setattr__(self, "resolution", resolution)
 
 
 def _steps(length: float, resolution: int, counts):

@@ -9,12 +9,11 @@ documented in the README's problem-file section.
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .allocation import AllocationProblem, optimize_allocation
 from .bounds import BoundQuery, _line_totals, solve_equal_perimeter
 from .extrema import PartitionProblem, maximize_partition, minimize_partition
-from .geometry import sigma
+from .geometry import _Record, sigma
 from .oracle import GridSpec, enumerate_allocations, grid_extremes
 
 __all__ = ["Check", "cross_check"]
@@ -24,8 +23,7 @@ __all__ = ["Check", "cross_check"]
 _RESOLUTIONS = {2: 2000, 3: 120, 4: 40, 5: 20, 6: 12}
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One comparison: what was checked, how far apart the two sides came,
     the tolerance, and whether the deviation stayed within it."""
 
@@ -34,7 +32,6 @@ class Check:
     bound: float
     ok: bool
 
-    # One dict update in place of the generated __init__'s call per field.
     def __init__(self, check, deviation, bound, ok):
         self.__dict__.update(check=check, deviation=deviation, bound=bound, ok=ok)
 

@@ -662,18 +662,18 @@ def count_work(monkeypatch):
     """Lists that record every tan taken and every Shape built."""
     tans, shapes = [], []
     tan = math.tan
-    post_init = Shape.__post_init__
+    init = Shape.__init__
 
     def counting_tan(x):
         tans.append(x)
         return tan(x)
 
-    def counting_post_init(self):
-        shapes.append(self.sides)
-        post_init(self)
+    def counting_init(self, sides):
+        shapes.append(sides)
+        init(self, sides)
 
     monkeypatch.setattr(math, "tan", counting_tan)
-    monkeypatch.setattr(Shape, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Shape, "__init__", counting_init)
     return tans, shapes
 
 
