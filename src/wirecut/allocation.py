@@ -18,10 +18,12 @@ trade counts, and the greedy's vector ascends over each group of them.
 Float gains misorder only gains within their rounding error, so the sides
 whose gains lie within a far wider tolerance of the greedy cutoff are
 handed out again by their exact gains, from 60-digit areas
-(geometry._unit_area_exact); where one group of equal wires alone moves,
-by single sides, nothing needs it (Yap 1997: decide the combinatorial
-outcome exactly, compute the values in floats). Reported areas are floats
-and the total is their correctly rounded sum (math.fsum; Shewchuk 1997).
+(geometry._unit_area_exact). Where every wire that could give or take a
+side in that band has one length, nothing needs it, and this is decided
+before the band is walked: the float gains of bit-equal wires order as
+their exact ones (Yap 1997: decide the combinatorial outcome exactly,
+compute the values in floats). Reported areas are floats and the total
+is their correctly rounded sum (math.fsum; Shewchuk 1997).
 The continuous first-order conditions have no closed form; they are kept
 only as residual diagnostics on the integer winner.
 
@@ -232,21 +234,29 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # the total area from above; the exact sort decides inside the band.
     tolerance = (wires + 8) * 2.0**-50 * sum(weights) / 12
     ceiling = best_rejected + tolerance
-    if worst_accepted <= ceiling:  # else no wire has a side to give
+    floor = worst_accepted - tolerance
+    # The band's wires are those that could give a side (last gain up to the
+    # ceiling) or take one (next gain from the floor). Where they share one
+    # length, their float gains order as their exact ones: bit-equal wires
+    # gain bit-equal amounts at each count, and each wire's gains fall
+    # strictly with the count. So the greedy's vector is the first exact
+    # optimum, and the band is not walked.
+    if worst_accepted <= ceiling and len({x for x, (last, _), (step, _) in zip(lengths, lasts, nexts)
+                                          if last <= ceiling or step >= floor}) > 1:
         # A wire can only take as many sides as the others can give, and
         # back; most stop at the last or next gain the repair already holds.
         removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
                      for (last, _), w, n in zip(lasts, weights, sides)]
         given = sum(removable)
-        floor = worst_accepted - tolerance
         addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
                    for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
         taken = sum(addable)
         spans = [range(n - min(r, taken - a), n + a + 1)
                  for n, r, a in zip(sides, removable, addable)]
-        # One length and at most two counts: one group of equal wires alone
-        # moves, by single sides, and the greedy's vector is the first tie.
-        # Otherwise the removable sides go to the band's largest exact gains.
+        # The same rule, second, for the wires that move: where they share
+        # one length and at most two counts, the greedy's vector is the first
+        # exact optimum. Otherwise the removable sides go to the band's
+        # largest exact gains.
         if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
             band = _exact_gains(lengths, longest, sides, removable, addable)
             sides = [n - r for n, r in zip(sides, removable)]

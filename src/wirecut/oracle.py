@@ -35,6 +35,10 @@ __all__ = [
 # The lattice blows up combinatorially with the number of shapes.
 MAX_GRID_SHAPES = 6
 _SAMPLE_LIMIT = 10**8
+# Most side counts per wire whose exact areas the allocation scan keeps, a
+# 60-digit Decimal and an int each. It binds only at two wires: with three
+# or more, 10**4 counts already make 10**8 tuples.
+_COUNT_LIMIT = 10**5
 # Samples of a two-shape lattice scored at a time.
 _BLOCK = 1024
 
@@ -168,6 +172,9 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     each count is taken exactly (geometry._unit_area_exact) in units of the
     longest wire's length squared, times 2**p, as an int: p keeps 60 digits
     of the shortest wire's, and sums of ints are exact in any order.
+
+    Raises ResourceLimitError when the scan would visit more than 10**8
+    side tuples, or keep the areas of more than 10**5 counts per wire.
     """
     from decimal import Context, Decimal
 
@@ -178,6 +185,10 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     tuples = len(head_range) ** (wires - 1)
     if tuples > _SAMPLE_LIMIT:
         raise ResourceLimitError(f"{tuples} side tuples exceed the scan limit of {_SAMPLE_LIMIT}")
+    if len(head_range) > _COUNT_LIMIT:
+        raise ResourceLimitError(
+            f"{len(head_range)} side counts per wire exceed the exact table limit of {_COUNT_LIMIT}"
+        )
     exact = Context(prec=60)
     longest = Decimal(max(lengths))
     # An area is over 2**-5 of its wire's length squared, and that is over

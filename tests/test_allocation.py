@@ -212,6 +212,67 @@ def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
     assert result.total_area == total_area_for_allocation(lengths, best)
 
 
+def refuse_the_band(monkeypatch):
+    """Make a walk of the exact band, or its exact ranking, fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("the band was walked")
+
+    monkeypatch.setattr(allocation, "_run", refuse)
+    monkeypatch.setattr(allocation, "_exact_gains", refuse)
+
+
+@pytest.mark.parametrize("lengths, budget, sides", [
+    ((1.0, 1.0), 20_003, (10_001, 10_002)),
+    ((1.0,) * 6, 25, (4, 4, 4, 4, 4, 5)),
+    ((2.0, 2.0, 2.0, 7.0), 28, (5, 5, 6, 12)),
+    ((1.0,) * 8, 20_021, (2502,) * 3 + (2503,) * 5),
+])
+def test_band_of_one_length_is_not_walked(monkeypatch, lengths, budget, sides):
+    """Where every wire that could give or take a side has one length, the
+    greedy's vector is the first exact optimum, so the band is neither
+    walked nor ranked exactly, however many counts its wires span. The 7.0
+    wire's last and next gains lie far from the cutoff."""
+    refuse_the_band(monkeypatch)
+    result = optimize_allocation(AllocationProblem(lengths, budget))
+    assert result.sides == sides
+    assert result.total_area == total_area_for_allocation(lengths, sides)
+
+
+@pytest.mark.parametrize("wires", [2, 3, 8, 20])
+def test_equal_wires_share_the_budget_evenly(monkeypatch, wires):
+    """k equal wires at every budget from 3k to the side limit: the last
+    I - 3k mod k wires take one side more than the rest."""
+    refuse_the_band(monkeypatch)
+    lengths = (1.0,) * wires
+    for budget in range(3 * wires, allocation.SIDE_LIMIT + 3 * (wires - 1) + 1):
+        q, r = divmod(budget - 3 * wires, wires)
+        assert optimize_allocation(AllocationProblem(lengths, budget)).sides == (3 + q,) * (wires - r) + (4 + q,) * r
+
+
+@st.composite
+def one_group_problems(draw):
+    """Two to four wires of one bit-equal length beside zero to two other
+    lengths, some an ulp or two from the group's, in any order."""
+    length = draw(st.floats(0.25, 4.0))
+    below = math.nextafter(length, 0.0)
+    near = (math.nextafter(below, 0.0), below, *ulp_chain(length, 3)[1:])
+    other = st.one_of(st.floats(0.25, 4.0), st.sampled_from(LENGTH_POOL), st.sampled_from(near))
+    lengths = draw(st.permutations([length] * draw(st.integers(2, 4)) + draw(st.lists(other, max_size=2))))
+    wires = len(lengths)
+    budget = draw(st.integers(3 * wires, 3 * wires + (16 if wires < 4 else 24 // wires)))
+    return AllocationProblem(tuple(lengths), budget)
+
+
+@given(one_group_problems())
+@settings(max_examples=150, deadline=None)
+def test_one_equal_group_beside_others_equals_enumeration(problem):
+    fast = optimize_allocation(problem)
+    slow = enumerate_allocations(problem)
+    assert fast.sides == slow.sides
+    assert fast.total_area.hex() == slow.total_area.hex()
+
+
 @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(3, 10_000)), min_size=1, max_size=12),
        st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)

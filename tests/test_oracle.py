@@ -149,6 +149,25 @@ def test_enumerate_guard_counts_visited_tuples():
         enumerate_allocations(AllocationProblem((1.0,) * 8, 60))
 
 
+def test_enumerate_guard_counts_exact_areas(monkeypatch):
+    """Two wires visit as many tuples as one wire has counts, so the tuple
+    limit alone would let the exact table grow to 10**8 Decimals; the count
+    limit refuses the scan before any exact area is taken."""
+
+    def refuse(n):
+        raise AssertionError("an exact area was taken")
+
+    monkeypatch.setattr(oracle, "_unit_area_exact", refuse)
+    with pytest.raises(ResourceLimitError, match="100001 side counts per wire exceed the exact table limit of 100000"):
+        enumerate_allocations(AllocationProblem((1.0, 2.0), 100_006))
+    monkeypatch.undo()
+    # The limit is on the counts kept, 3 .. I - 3(k-1): 18 here at budget 23.
+    monkeypatch.setattr(oracle, "_COUNT_LIMIT", 18)
+    assert enumerate_allocations(AllocationProblem((1.0, 2.0), 23)).sides == (9, 14)
+    with pytest.raises(ResourceLimitError, match="19 side counts per wire exceed the exact table limit of 18"):
+        enumerate_allocations(AllocationProblem((1.0, 2.0), 24))
+
+
 def _lattice(total, parts):
     """Every composition of total into `parts` non-negative parts, in
     lexicographic order."""
