@@ -250,18 +250,11 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         given = sum(removable)
         addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
                    for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
-        taken = sum(addable)
-        spans = [range(n - min(r, taken - a), n + a + 1)
-                 for n, r, a in zip(sides, removable, addable)]
-        # The same rule, second, for the wires that move: where they share
-        # one length and at most two counts, the greedy's vector is the first
-        # exact optimum. Otherwise the removable sides go to the band's
-        # largest exact gains.
-        if len({(x, n) for x, span in zip(lengths, spans) if len(span) > 1 for n in span}) > 2:
-            band = _exact_gains(lengths, longest, sides, removable, addable)
-            sides = [n - r for n, r in zip(sides, removable)]
-            for _, i in sorted(band, reverse=True)[:given]:
-                sides[i] += 1
+        # The removable sides go to the band's largest exact gains.
+        band = _exact_gains(lengths, longest, sides, removable, addable)
+        sides = [n - r for n, r in zip(sides, removable)]
+        for _, i in sorted(band, reverse=True)[:given]:
+            sides[i] += 1
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
     terms = _scores([math.pi / n for n in sides], map(_factor.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))

@@ -35,9 +35,9 @@ __all__ = [
 # The lattice blows up combinatorially with the number of shapes.
 MAX_GRID_SHAPES = 6
 _SAMPLE_LIMIT = 10**8
-# Most side counts per wire whose exact areas the allocation scan keeps, a
-# 60-digit Decimal and an int each. It binds only at two wires: with three
-# or more, 10**4 counts already make 10**8 tuples.
+# Most side counts per wire whose exact areas the allocation scan keeps, as
+# one int each. It binds only at two wires: with three or more, 10**4
+# counts already make 10**8 tuples.
 _COUNT_LIMIT = 10**5
 # Samples of a two-shape lattice scored at a time.
 _BLOCK = 1024

@@ -241,11 +241,12 @@ def test_band_of_one_length_is_not_walked(monkeypatch, lengths, budget, sides):
 
 @pytest.mark.parametrize("wires", [2, 3, 8, 20])
 def test_equal_wires_share_the_budget_evenly(monkeypatch, wires):
-    """k equal wires at every budget from 3k to the side limit: the last
-    I - 3k mod k wires take one side more than the rest."""
+    """k equal wires at the smallest budgets and those up to the side limit:
+    the last I - 3k mod k wires take one side more than the rest."""
     refuse_the_band(monkeypatch)
     lengths = (1.0,) * wires
-    for budget in range(3 * wires, allocation.SIDE_LIMIT + 3 * (wires - 1) + 1):
+    top = allocation.SIDE_LIMIT + 3 * (wires - 1)
+    for budget in [*range(3 * wires, 6 * wires + 1), *range(top - 2 * wires, top + 1)]:
         q, r = divmod(budget - 3 * wires, wires)
         assert optimize_allocation(AllocationProblem(lengths, budget)).sides == (3 + q,) * (wires - r) + (4 + q,) * r
 
