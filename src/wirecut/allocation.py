@@ -15,15 +15,16 @@ The result is the allocation of the largest exact total and, of equal exact
 totals, the lexicographically smallest side sequence, as in the oracle's
 plain enumeration. Exact totals tie only where wires of bit-equal length
 trade counts, and the greedy's vector ascends over each group of them.
-Float gains misorder only gains within their rounding error, so the sides
-whose gains lie within a far wider tolerance of the greedy cutoff are
-handed out again by their exact gains, from 60-digit areas
-(geometry._unit_area_exact). Where every wire that could give or take a
-side in that band has one length, nothing needs it, and this is decided
-before the band is walked: the float gains of bit-equal wires order as
-their exact ones (Yap 1997: decide the combinatorial outcome exactly,
-compute the values in floats). Reported areas are floats and the total
-is their correctly rounded sum (math.fsum; Shewchuk 1997).
+Float gains misorder only gains within their rounding error. So where
+gains lie within a far wider tolerance of the greedy cutoff, the same
+exchange runs again over the wires that could give or take those sides,
+on exact gains from 60-digit areas (geometry._unit_area_exact), with the
+other wires held. It starts from the greedy's vector, so it reads a few
+exact areas per wire at any budget. Where every such wire has one length,
+nothing needs it, and this is decided first: the float gains of bit-equal
+wires order as their exact ones (Yap 1997: decide the combinatorial
+outcome exactly, compute the values in floats). Reported areas are floats
+and the total is their correctly rounded sum (math.fsum; Shewchuk 1997).
 The continuous first-order conditions have no closed form; they are kept
 only as residual diagnostics on the integer winner.
 
@@ -34,7 +35,7 @@ on its first lookup. A process computes each once, for the counts its
 solves touch; import fills nothing and nothing that depends on the lengths
 is kept. The tolerance scales with sum(weights)/12, which bounds the total
 area from above (an n-gon of weight w encloses w/(4 pi (1 + excess)) < w/12);
-inside the band the exact sort decides, so a wider band changes no result.
+inside the band exact gains decide, so a wider band changes no result.
 """
 
 import math
@@ -52,11 +53,11 @@ __all__ = [
     "stationarity_residual",
 ]
 
-# Most sides one wire can receive, I - 3(k-1). It bounds the exact band's
-# work, which grows about as the fourth power of the side count: lengths
-# (1, 1.3) take 36 exact areas (1.1 ms on a 2-vCPU Xeon VM) at this limit,
-# and would take 588, 8,806 and 52,118 (17 ms, 0.24 s, 1.4 s) at two, four
-# and eight times it.
+# Most sides one wire can receive, I - 3(k-1). A solve's work does not grow
+# with it, but each count that a process's solves touch keeps an entry in
+# every per-count table: about 0.5 kB a count with its exact area, 11 MB
+# for tables filled up to this limit (tracemalloc, CPython 3.11), and
+# 0.5 GB at 10**6 counts.
 SIDE_LIMIT = 20_000
 
 # tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
@@ -190,7 +191,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     if widest > SIDE_LIMIT:
         raise ResourceLimitError(
             f"one wire could get {widest} sides, over the limit of {SIDE_LIMIT} "
-            "that bounds the work of ranking near-tied gains exactly"
+            "that bounds the per-count tables a process keeps"
         )
     gain, inf = _gain, math.inf
     # Weights relative to the longest wire, so that no gain over- or underflows.
@@ -209,29 +210,12 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         nexts.append((w * gain[n], i))
         lasts.append((w * gain[n - 1] if n > 3 else inf, i))
     # Hand out what the floors leave (under k sides), then move sides while that gains.
-    left = budget - sum(sides)
-    while True:
-        top = max(nexts)
-        if left:
-            left -= 1
-        else:
-            bottom = min(lasts)
-            if top <= bottom:
-                break
-            j = bottom[1]
-            sides[j] -= 1
-            nexts[j] = bottom
-            n = sides[j] - 1
-            lasts[j] = (weights[j] * gain[n] if n > 2 else inf, j)
-        i = top[1]
-        n = sides[i] = sides[i] + 1
-        lasts[i], nexts[i] = top, (weights[i] * gain[n], i)
-    best_rejected, worst_accepted = top[0], bottom[0]
+    best_rejected, worst_accepted = _exchange(sides, weights, gain, budget - sum(sides), nexts, lasts)
 
     # Float gains misorder only gains within their rounding error, far below
     # the tolerance, so the exact optimum differs from the greedy's only in
     # sides whose gains lie within it of the cutoff. sum(weights) / 12 bounds
-    # the total area from above; the exact sort decides inside the band.
+    # the total area from above; exact gains decide inside the band.
     tolerance = (wires + 8) * 2.0**-50 * sum(weights) / 12
     ceiling = best_rejected + tolerance
     floor = worst_accepted - tolerance
@@ -240,51 +224,62 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # length, their float gains order as their exact ones: bit-equal wires
     # gain bit-equal amounts at each count, and each wire's gains fall
     # strictly with the count. So the greedy's vector is the first exact
-    # optimum, and the band is not walked.
+    # optimum, and nothing is ranked exactly.
     if worst_accepted <= ceiling and len({x for x, (last, _), (step, _) in zip(lengths, lasts, nexts)
                                           if last <= ceiling or step >= floor}) > 1:
-        # A wire can only take as many sides as the others can give, and
-        # back; most stop at the last or next gain the repair already holds.
-        removable = [_run(w, range(n - 1, 2, -1), -inf, ceiling) if last <= ceiling else 0
-                     for (last, _), w, n in zip(lasts, weights, sides)]
-        given = sum(removable)
-        addable = [_run(w, range(n, n + given - r), floor, inf) if step >= floor else 0
-                   for (step, _), w, n, r in zip(nexts, weights, sides, removable)]
-        # The removable sides go to the band's largest exact gains.
-        band = _exact_gains(lengths, longest, sides, removable, addable)
-        sides = [n - r for n, r in zip(sides, removable)]
-        for _, i in sorted(band, reverse=True)[:given]:
-            sides[i] += 1
+        band = [i for i, ((last, _), (step, _)) in enumerate(zip(lasts, nexts))
+                if last <= ceiling or step >= floor]
+        _exchange_exactly(sides, band, lengths, longest)
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
     terms = _scores([math.pi / n for n in sides], map(_factor.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
 
 
-def _exact_gains(lengths, longest, sides, removable, addable) -> list:
-    """(gain, i) of the (m+1)-th side of wire i for each m in range(n - r,
-    n + a): u**2 * (g(m+1) - g(m)) at 60 digits, with u = x / longest. Each
-    wire's gains fall strictly with m."""
-    from decimal import Context, Decimal
+def _exchange(sides, weights, gain, left, nexts, lasts) -> tuple:
+    """Hand out `left` more sides, then move one side at a time from the
+    smallest last gain to the largest next gain while that gains. The
+    (m+1)-th side of wire i adds weights[i] * gain[m]; nexts and lasts hold
+    each wire's next and last gain keyed (gain, i), inf where a wire has 3
+    sides. Updates the three lists in place; returns the largest rejected
+    and the smallest accepted gain."""
+    inf = math.inf
+    while True:
+        top = max(nexts)
+        if left:
+            left -= 1
+        else:
+            bottom = min(lasts)
+            if top <= bottom:
+                return top[0], bottom[0]
+            j = bottom[1]
+            sides[j] -= 1
+            nexts[j] = bottom
+            n = sides[j] - 1
+            lasts[j] = (weights[j] * gain[n] if n > 2 else inf, j)
+        i = top[1]
+        n = sides[i] = sides[i] + 1
+        lasts[i], nexts[i] = top, (weights[i] * gain[n], i)
 
-    exact = Context(prec=60)
-    band = []
-    for i, (x, n, r, a) in enumerate(zip(lengths, sides, removable, addable)):
-        u = exact.divide(Decimal(x), Decimal(longest))
-        weight = exact.multiply(u, u)
-        band += [(exact.multiply(weight, exact.subtract(_unit_area_exact(m + 1), _unit_area_exact(m))), i)
-                 for m in range(n - r, n + a)]
-    return band
 
+def _exchange_exactly(sides, band, lengths, longest) -> None:
+    """Repeat the exchange over the band's wires, in their order, on 60-digit
+    gains u**2 * (U(m+1) - U(m)), with u = x / longest and U(m) the unit
+    area geometry._unit_area_exact(m). The other wires can neither give nor
+    take a side, so their sides are held. The context is the function's
+    own, so the caller's precision and traps change nothing."""
+    from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 
-def _run(weight: float, counts, low: float, high: float) -> int:
-    """How many sides in a row, the (m+1)-th for each m in counts, add an
-    area between low and high."""
-    run = 0
-    for m in counts:
-        if not low <= weight * _gain[m] <= high:
-            break
-        run += 1
-    return run
+    held = [sides[i] for i in band]
+    with localcontext(Context(prec=60, traps=[InvalidOperation, DivisionByZero, Overflow])):
+        longest = Decimal(longest)
+        weights = [u * u for u in (Decimal(lengths[i]) / longest for i in band)]
+        gain = _Table(lambda m: _unit_area_exact(m + 1) - _unit_area_exact(m))
+        nexts = [(w * gain[n], i) for i, (w, n) in enumerate(zip(weights, held))]
+        lasts = [(w * gain[n - 1] if n > 3 else math.inf, i)
+                 for i, (w, n) in enumerate(zip(weights, held))]
+        _exchange(held, weights, gain, 0, nexts, lasts)
+    for i, n in zip(band, held):
+        sides[i] = n
 
 
 def stationarity_term(side: float, length: float) -> float:

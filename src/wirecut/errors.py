@@ -16,6 +16,6 @@ class ResourceLimitError(WirecutError):
 
     The oracle refuses scans beyond its sample limit. The allocation optimizer
     refuses budgets that could give one wire more than 20,000 sides, which
-    bounds its exact ranking's work: that grows about as the fourth power of
-    the side count.
+    bounds the per-count tables a process keeps: about 11 MB filled up to
+    that limit.
     """

@@ -176,7 +176,7 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     Raises ResourceLimitError when the scan would visit more than 10**8
     side tuples, or keep the areas of more than 10**5 counts per wire.
     """
-    from decimal import Context, Decimal
+    from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 
     lengths = problem.wire_lengths
     wires = len(lengths)
@@ -189,16 +189,18 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
         raise ResourceLimitError(
             f"{len(head_range)} side counts per wire exceed the exact table limit of {_COUNT_LIMIT}"
         )
-    exact = Context(prec=60)
-    longest = Decimal(max(lengths))
-    # An area is over 2**-5 of its wire's length squared, and that is over
-    # 2**(2 (e_shortest - e_longest - 1)) of the longest's; 2**200 > 10**60.
-    scale = Decimal(2 ** (207 + 2 * (math.frexp(max(lengths))[1] - math.frexp(min(lengths))[1])))
     tables = []
-    for x in lengths:
-        u = exact.divide(Decimal(x), longest)
-        weight = exact.multiply(exact.multiply(u, u), scale)
-        tables.append({n: int(exact.multiply(weight, _unit_area_exact(n))) for n in range(3, head_range.stop)})
+    # The context is the scan's own, so the caller's precision and traps
+    # change nothing.
+    with localcontext(Context(prec=60, traps=[InvalidOperation, DivisionByZero, Overflow])):
+        longest = Decimal(max(lengths))
+        # An area is over 2**-5 of its wire's length squared, and that is over
+        # 2**(2 (e_shortest - e_longest - 1)) of the longest's; 2**200 > 10**60.
+        scale = Decimal(2 ** (207 + 2 * (math.frexp(max(lengths))[1] - math.frexp(min(lengths))[1])))
+        for x in lengths:
+            u = Decimal(x) / longest
+            weight = u * u * scale
+            tables.append({n: int(weight * _unit_area_exact(n)) for n in range(3, head_range.stop)})
     best_sides, best_total = None, -1
     for head in product(head_range, repeat=wires - 1):
         last = budget - sum(head)

@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, FloatOperation, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,6 +22,7 @@ from wirecut import (
     Shape,
     allocation,
     area,
+    cross_check,
     enumerate_allocations,
     geometry,
     optimize_allocation,
@@ -122,7 +123,7 @@ def test_resource_guard():
     # The guard is on I - 3(k-1), the most sides one wire can get.
     assert sum(optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20006)).sides) == 20006
     with pytest.raises(ResourceLimitError, match="one wire could get 20001 sides, over the limit of "
-                       "20000 that bounds the work of ranking near-tied gains exactly"):
+                       "20000 that bounds the per-count tables a process keeps"):
         optimize_allocation(AllocationProblem((1.0, 2.0, 3.0), 20007))
     with pytest.raises(ResourceLimitError):
         optimize_allocation(AllocationProblem((1.0,) * 8, 100000))
@@ -213,13 +214,12 @@ def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
 
 
 def refuse_the_band(monkeypatch):
-    """Make a walk of the exact band, or its exact ranking, fail the test."""
+    """Make an exact exchange over the band fail the test."""
 
     def refuse(*args):
-        raise AssertionError("the band was walked")
+        raise AssertionError("the band was ranked exactly")
 
-    monkeypatch.setattr(allocation, "_run", refuse)
-    monkeypatch.setattr(allocation, "_exact_gains", refuse)
+    monkeypatch.setattr(allocation, "_exchange_exactly", refuse)
 
 
 @pytest.mark.parametrize("lengths, budget, sides", [
@@ -230,9 +230,9 @@ def refuse_the_band(monkeypatch):
 ])
 def test_band_of_one_length_is_not_walked(monkeypatch, lengths, budget, sides):
     """Where every wire that could give or take a side has one length, the
-    greedy's vector is the first exact optimum, so the band is neither
-    walked nor ranked exactly, however many counts its wires span. The 7.0
-    wire's last and next gains lie far from the cutoff."""
+    greedy's vector is the first exact optimum, so the band is not ranked
+    exactly, however many counts its wires span. The 7.0 wire's last and
+    next gains lie far from the cutoff."""
     refuse_the_band(monkeypatch)
     result = optimize_allocation(AllocationProblem(lengths, budget))
     assert result.sides == sides
@@ -383,9 +383,9 @@ def test_ulp_chains_match_enumeration(base, picks, budget):
 
 def test_near_tie_scoring_takes_each_area_once(monkeypatch):
     """Twenty lengths one ulp apart share ten extra sides C(20, 10) = 184,756
-    ways, and thirty share fifteen C(30, 15) ways; ranking the band's gains
-    exactly fills the exact kernel at most once per count, and only for the
-    counts in the band, whatever the number of near ties."""
+    ways, and thirty share fifteen C(30, 15) ways; the exact exchange fills
+    the exact kernel at most once per count, and only for the counts its
+    wires' last and next gains read, whatever the number of near ties."""
 
     class Fills(dict):
         def __setitem__(self, n, value):
@@ -398,10 +398,24 @@ def test_near_tie_scoring_takes_each_area_once(monkeypatch):
         lengths = ulp_chain(1.0, wires)
         result = optimize_allocation(AllocationProblem(lengths, budget))
         assert result.sides == (3,) * (wires // 2) + (4,) * (wires // 2)
-        assert sorted(fills) == [3, 4]
+        assert sorted(fills) == [3, 4, 5]
         assert result.total_area == total_area_for_allocation(lengths, result.sides)
         if wires == 20:
             assert result.total_area.hex() == "0x1.1b2b05cfc1564p+0"
+
+
+def test_exact_ranking_ignores_the_callers_decimal_context():
+    """A caller's decimal context that keeps five digits and traps floats
+    changes no result: the exact exchange and the oracle's exact totals
+    each run in a context of their own."""
+    problems = [AllocationProblem((1.0, 1.3), 20_003), AllocationProblem((1.0, 2.0), 9)]
+    with localcontext(Context(prec=5, traps=[FloatOperation, Inexact, Rounded])):
+        solved = [optimize_allocation(problem) for problem in problems]
+        enumerated = enumerate_allocations(problems[1])
+        checks = cross_check(problems[1])
+    assert solved == [optimize_allocation(problem) for problem in problems]
+    assert solved[0].sides == (9129, 10874)
+    assert enumerated == solved[1] and checks == cross_check(problems[1]) and checks[0].ok
 
 
 @st.composite
@@ -781,6 +795,19 @@ def test_solve_work_does_not_grow_with_the_budget(monkeypatch, fresh_tables):
         counts.append(len(gains))
     assert max(counts) <= 8 * wires
     assert max(counts) < 2 * min(counts)
+
+
+@pytest.mark.parametrize("lengths, budget, sides", [
+    ((1.0, 1.3), 20_003, (9129, 10874)),
+    (EIGHT_WIRES, 20_021, (1310, 1717, 1842, 2194, 2624, 3020, 3483, 3831)),
+])
+def test_exact_exchange_reads_a_few_areas_per_wire(monkeypatch, lengths, budget, sides):
+    """Gains that nearly tie at the side limit: the exact exchange starts
+    from the greedy's vector, so it reads at most three exact areas per
+    wire, those of its last and next gains."""
+    monkeypatch.setattr(geometry, "_exact_areas", {})
+    assert optimize_allocation(AllocationProblem(lengths, budget)).sides == sides
+    assert 0 < len(geometry._exact_areas) <= 3 * len(lengths)
 
 
 def test_total_area_checks_counts_the_table_holds(fresh_tables):
