@@ -7,8 +7,8 @@ concave in each n_i, so marginal analysis is exact (Fox 1966): the optimum
 holds the I - 3k largest marginal gains. A solve starts near the continuous
 optimum, n_i - 3 proportional to (L_i/L_max)**(2/3), hands out the sides
 the floors leave, then moves one side at a time from the smallest last gain
-to the largest next gain while that gains. Gains rank by (gain, index), so
-of equal gains the later wire takes the side; the repair takes O(k) moves
+to the largest next gain while that gains. Of equal gains the later wire
+takes the side and the earlier one gives it; the repair takes O(k) moves
 whatever I (Hochbaum 1994; Ibaraki & Katoh 1988, ch. 4).
 
 The result is the allocation of the largest exact total and, of equal exact
@@ -29,13 +29,14 @@ The continuous first-order conditions have no closed form; they are kept
 only as residual diagnostics on the integer winner.
 
 Every value that depends only on a side count n (the excess, the unit
-gain of the (n+1)-th side, the stationarity score's factor, and the Shape)
-sits in a table per value, a dict that computes and keeps the entry for n
-on its first lookup. A process computes each once, for the counts its
-solves touch; import fills nothing and nothing that depends on the lengths
-is kept. The tolerance scales with sum(weights)/12, which bounds the total
-area from above (an n-gon of weight w encloses w/(4 pi (1 + excess)) < w/12);
-inside the band exact gains decide, so a wider band changes no result.
+gain of the (n+1)-th side, the angle pi/n with the stationarity score's
+factor, and the Shape) sits in a table per value, a dict that computes
+and keeps the entry for n on its first lookup. A process computes each
+once, for the counts its solves touch; import fills nothing and nothing
+that depends on the lengths is kept. The tolerance scales with
+sum(weights)/12, which bounds the total area from above (an n-gon of
+weight w encloses w/(4 pi (1 + excess)) < w/12); inside the band exact
+gains decide, so a wider band changes no result.
 """
 
 import math
@@ -55,9 +56,9 @@ __all__ = [
 
 # Most sides one wire can receive, I - 3(k-1). A solve's work does not grow
 # with it, but each count that a process's solves touch keeps an entry in
-# every per-count table: about 0.5 kB a count with its exact area, 11 MB
+# every per-count table: about 580 B a count with its exact area, 11.6 MB
 # for tables filled up to this limit (tracemalloc, CPython 3.11), and
-# 0.5 GB at 10**6 counts.
+# 0.58 GB at 10**6 counts.
 SIDE_LIMIT = 20_000
 
 # tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
@@ -173,7 +174,8 @@ def _factor_at(alpha: float) -> float:
 _excess = _Table(_tan_excess)
 _gain = _Table(lambda n: (_excess[n] - _excess[n + 1])
                / (4.0 * math.pi * (1.0 + _excess[n]) * (1.0 + _excess[n + 1])))
-_factor = _Table(lambda n: _factor_at(math.pi / n))
+# A wire of n sides scores (pi/n * length)**2 * _factor_at(pi/n); one entry holds both.
+_angle = _Table(lambda n: (alpha := math.pi / n, _factor_at(alpha)))
 _polygon = _Table(Shape)
 
 
@@ -200,15 +202,13 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # Warm start near the continuous optimum, where n - 3 grows as w**(1/3).
     roots = [w ** (1 / 3) for w in weights]
     scale = (budget - 3 * wires) / sum(roots)
-    # Next and last gains, keyed (gain, index): of equal gains the later wire
-    # takes the side, so the greedy's vector is the first exact optimum. A
-    # wire at 3 sides has no last side to give.
+    # Next and last gains by wire. A wire at 3 sides has no last side to give.
     sides, nexts, lasts = [], [], []
     for i, w in enumerate(weights):
         n = 3 + int(scale * roots[i])
         sides.append(n)
-        nexts.append((w * gain[n], i))
-        lasts.append((w * gain[n - 1] if n > 3 else inf, i))
+        nexts.append(w * gain[n])
+        lasts.append(w * gain[n - 1] if n > 3 else inf)
     # Hand out what the floors leave (under k sides), then move sides while that gains.
     best_rejected, worst_accepted = _exchange(sides, weights, gain, budget - sum(sides), nexts, lasts)
 
@@ -225,40 +225,44 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # gain bit-equal amounts at each count, and each wire's gains fall
     # strictly with the count. So the greedy's vector is the first exact
     # optimum, and nothing is ranked exactly.
-    if worst_accepted <= ceiling and len({x for x, (last, _), (step, _) in zip(lengths, lasts, nexts)
+    if worst_accepted <= ceiling and len({x for x, last, step in zip(lengths, lasts, nexts)
                                           if last <= ceiling or step >= floor}) > 1:
-        band = [i for i, ((last, _), (step, _)) in enumerate(zip(lasts, nexts))
-                if last <= ceiling or step >= floor]
+        band = [i for i, (last, step) in enumerate(zip(lasts, nexts)) if last <= ceiling or step >= floor]
         _exchange_exactly(sides, band, lengths, longest)
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
-    terms = _scores([math.pi / n for n in sides], map(_factor.__getitem__, sides), lengths)
+    terms = _scores(map(_angle.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
 
 
 def _exchange(sides, weights, gain, left, nexts, lasts) -> tuple:
     """Hand out `left` more sides, then move one side at a time from the
     smallest last gain to the largest next gain while that gains. The
-    (m+1)-th side of wire i adds weights[i] * gain[m]; nexts and lasts hold
-    each wire's next and last gain keyed (gain, i), inf where a wire has 3
-    sides. Updates the three lists in place; returns the largest rejected
-    and the smallest accepted gain."""
-    inf = math.inf
+    (m+1)-th side of wire i adds weights[i] * gain[m]; nexts[i] and lasts[i]
+    hold wire i's next and last gain, inf where it has 3 sides. Of equal
+    gains the later wire takes a side and the earlier one gives it, so the
+    greedy's vector is the first exact optimum. Updates the three lists in
+    place; returns the largest rejected and the smallest accepted gain."""
+    inf, last = math.inf, len(nexts) - 1
+    # While the loop runs, wire i's next gain sits at nexts[last - i], so
+    # that index() finds the last wire of equal gains as it does the first.
+    nexts.reverse()
     while True:
         top = max(nexts)
+        i = last - nexts.index(top)
         if left:
             left -= 1
         else:
             bottom = min(lasts)
-            if top <= bottom:
-                return top[0], bottom[0]
-            j = bottom[1]
+            j = lasts.index(bottom)
+            if top < bottom or top == bottom and i <= j:
+                nexts.reverse()
+                return top, bottom
             sides[j] -= 1
-            nexts[j] = bottom
+            nexts[last - j] = bottom
             n = sides[j] - 1
-            lasts[j] = (weights[j] * gain[n] if n > 2 else inf, j)
-        i = top[1]
+            lasts[j] = weights[j] * gain[n] if n > 2 else inf
         n = sides[i] = sides[i] + 1
-        lasts[i], nexts[i] = top, (weights[i] * gain[n], i)
+        lasts[i], nexts[last - i] = top, weights[i] * gain[n]
 
 
 def _exchange_exactly(sides, band, lengths, longest) -> None:
@@ -274,9 +278,8 @@ def _exchange_exactly(sides, band, lengths, longest) -> None:
         longest = Decimal(longest)
         weights = [u * u for u in (Decimal(lengths[i]) / longest for i in band)]
         gain = _Table(lambda m: _unit_area_exact(m + 1) - _unit_area_exact(m))
-        nexts = [(w * gain[n], i) for i, (w, n) in enumerate(zip(weights, held))]
-        lasts = [(w * gain[n - 1] if n > 3 else math.inf, i)
-                 for i, (w, n) in enumerate(zip(weights, held))]
+        nexts = [w * gain[n] for w, n in zip(weights, held)]
+        lasts = [w * gain[n - 1] if n > 3 else math.inf for w, n in zip(weights, held)]
         _exchange(held, weights, gain, 0, nexts, lasts)
     for i, n in zip(band, held):
         sides[i] = n
@@ -295,15 +298,16 @@ def stationarity_term(side: float, length: float) -> float:
         raise ValueError(f"side count must exceed 2, got {side!r}")
     _check_positive(length, "length")
     alpha = math.pi / side
-    return _scores((alpha,), (_factor_at(alpha),), (length,))[0]
+    return _scores(((alpha, _factor_at(alpha)),), (length,))[0]
 
 
-def _scores(angles, factors, lengths) -> list:
-    """Stationarity scores of valid inputs, each from the wire's angle
-    alpha = pi/side and its factor _factor_at(alpha)."""
-    scores = [(scaled := a * x) * scaled * f for a, f, x in zip(angles, factors, lengths)]
-    if not all(map(math.isfinite, scores)):
-        length = next(x for score, x in zip(scores, lengths) if not math.isfinite(score))
+def _scores(pairs, lengths) -> list:
+    """Stationarity scores of valid inputs, each from the wire's pair of
+    angle alpha = pi/side and factor _factor_at(alpha). No score is negative
+    or NaN, so one that overflows makes the largest infinite."""
+    scores = [(scaled := a * x) * scaled * f for (a, f), x in zip(pairs, lengths)]
+    if max(scores) == math.inf:
+        length = lengths[scores.index(math.inf)]
         raise ValueError(f"stationarity score of a wire of length {length!r} overflows a float")
     return scores
 

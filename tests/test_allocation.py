@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -56,10 +57,12 @@ def test_total_area_single_wire_matches_kernel():
 def test_total_area_validation():
     with pytest.raises(ValueError):
         total_area_for_allocation((1.0, 1.0), (4,))
-    with pytest.raises(ValueError):
-        total_area_for_allocation((1.0, 1.0), (4, 2))
-    with pytest.raises(ValueError):
-        total_area_for_allocation((1.0, 1.0), (4, 4.0))
+    for bad in (4.0, True, 2, -1, [4]):
+        with pytest.raises(ValueError):
+            total_area_for_allocation((1.0, 1.0), (4, bad))
+    # A valid count past any a solve can use gives the kernel's area.
+    huge = total_area_for_allocation((1.0, 1.0), (4, 10**9))
+    assert huge == area(Shape(4), 1.0) + area(Shape(10**9), 1.0)
     # Text and bytes are not sequences of numbers: b"ab" would be lengths 97 and 98.
     # Sets and dicts have no written order, and a dict would give its keys.
     for lengths, sides in ((b"ab", (3, 4)), ("12", (3, 4)), ((1.0, 1.0), b"\x04\x04"),
@@ -132,6 +135,27 @@ def test_resource_guard():
     assert optimize_allocation(AllocationProblem(ulp_chain(1.0, 30), 105)).sides == (3,) * 15 + (4,) * 15
     # Thirty equal wires tie exactly, and the first of the ties ascends.
     assert optimize_allocation(AllocationProblem((1.0,) * 30, 105)).sides == (3,) * 15 + (4,) * 15
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "decimal"])
+@pytest.mark.parametrize("start, left", [((5, 4), 0), ((4, 4), 1)])
+def test_exchange_moves_equal_gains_only_to_a_later_wire(start, left, exact):
+    """Two equal wires, on float gains and on the exact pass's 60-digit ones:
+    of equal gains the later wire takes a side and the earlier one gives it.
+    So (5, 4) trades its tie to (4, 5), where a loop that stopped at equal
+    gains would keep (5, 4), and a side handed to (4, 4) goes to the second
+    wire."""
+    sides = list(start)
+    with localcontext(Context(prec=60)):
+        if exact:
+            weights = [Decimal(1)] * 2
+            gain = allocation._Table(lambda m: geometry._unit_area_exact(m + 1) - geometry._unit_area_exact(m))
+        else:
+            weights, gain = [1.0] * 2, allocation._gain
+        nexts = [w * gain[n] for w, n in zip(weights, sides)]
+        lasts = [w * gain[n - 1] for w, n in zip(weights, sides)]
+        allocation._exchange(sides, weights, gain, left, nexts, lasts)
+    assert sides == [4, 5]
 
 
 def test_equal_wires_take_the_first_tie_unscored():
@@ -667,6 +691,10 @@ def test_overflowing_stationarity_score_raises_value_error():
         stationarity_term(4, 1e200)
     with pytest.raises(ValueError, match="overflows"):
         optimize_allocation(AllocationProblem((1e200, 1.0), 20))
+    # The message names the first wire whose score overflows, not the longest.
+    for lengths, named in (((1.0, 1e200, 1e201), "1e+200"), ((1e201, 1.0, 1e200), "1e+201")):
+        with pytest.raises(ValueError, match=rf"length {re.escape(named)} overflows"):
+            optimize_allocation(AllocationProblem(lengths, 20))
 
 
 def test_residual_zero_for_identical_wires():
@@ -808,19 +836,6 @@ def test_exact_exchange_reads_a_few_areas_per_wire(monkeypatch, lengths, budget,
     monkeypatch.setattr(geometry, "_exact_areas", {})
     assert optimize_allocation(AllocationProblem(lengths, budget)).sides == sides
     assert 0 < len(geometry._exact_areas) <= 3 * len(lengths)
-
-
-def test_total_area_checks_counts_the_table_holds(fresh_tables):
-    optimize_allocation(AllocationProblem((1.0, 2.0), 20))
-    total_area_for_allocation((1.0, 1.0), (4, 4))
-    held = len(allocation._polygon)
-    for bad in (4.0, True, 2, -1, [4]):
-        with pytest.raises(ValueError):
-            total_area_for_allocation((1.0, 1.0), (4, bad))
-    # A valid count past any a solve can use is built but not kept.
-    huge = total_area_for_allocation((1.0, 1.0), (4, 10**9))
-    assert huge == area(Shape(4), 1.0) + area(Shape(10**9), 1.0)
-    assert len(allocation._polygon) == held
 
 
 def test_import_fills_nothing():
