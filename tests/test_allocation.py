@@ -762,6 +762,22 @@ def fresh_tables():
         getattr(allocation, name).clear()
 
 
+def test_total_area_checks_counts_the_table_holds(fresh_tables):
+    """Checking an allocation, valid or not, leaves every solve table as
+    the last solve left it: a count past any a solve can use is built
+    but not kept."""
+    optimize_allocation(AllocationProblem((1.0, 2.0), 20))
+    held = {name: len(getattr(allocation, name)) for name in TABLES}
+    assert held["_polygon"] > 0
+    total_area_for_allocation((1.0, 1.0), (4, 4))
+    for bad in (4.0, True, 2, -1, [4]):
+        with pytest.raises(ValueError):
+            total_area_for_allocation((1.0, 1.0), (4, bad))
+    huge = total_area_for_allocation((1.0, 1.0), (4, 10**9))
+    assert huge == area(Shape(4), 1.0) + area(Shape(10**9), 1.0)
+    assert {name: len(getattr(allocation, name)) for name in TABLES} == held
+
+
 def count_work(monkeypatch):
     """Lists that record every tan taken and every Shape built."""
     tans, shapes = [], []
