@@ -15,35 +15,42 @@ The result is the allocation of the largest exact total and, of equal exact
 totals, the lexicographically smallest side sequence, as in the oracle's
 plain enumeration. Exact totals tie only where wires of bit-equal length
 trade counts, and the greedy's vector ascends over each group of them.
-Float gains misorder only gains within their rounding error. So where
-gains lie within a far wider tolerance of the greedy cutoff, the same
-exchange runs again over the wires that could give or take those sides,
-on exact gains from 60-digit areas (geometry._unit_area_exact), with the
-other wires held. It starts from the greedy's vector, so it reads a few
-exact areas per wire at any budget. Where every such wire has one length,
-nothing needs it, and this is decided first: the float gains of bit-equal
-wires order as their exact ones (Yap 1997: decide the combinatorial
-outcome exactly, compute the values in floats). Reported areas are floats
-and the total is their correctly rounded sum (math.fsum; Shewchuk 1997).
-The continuous first-order conditions have no closed form; they are kept
-only as residual diagnostics on the integer winner.
+Both passes take their gains from one kernel: the unit areas of
+geometry._unit_area_exact, ints scaled by 2**_BITS. The exact gain of a
+side is the difference of two of them, and the float gain is that int
+correctly rounded. Float gains misorder only gains within their rounding
+error. So where gains lie within a far wider tolerance of the greedy
+cutoff, the same exchange runs again over the wires that could give or
+take those sides, on the exact gains weighed by the squared lengths
+scaled to integers, with the other wires held. It starts from the
+greedy's vector, so it reads a few exact areas per wire at any budget.
+Where every such wire has one length, nothing needs it, and this is
+decided first: the float gains of bit-equal wires order as their exact
+ones (Yap 1997: decide the combinatorial outcome exactly, compute the
+values in floats). Reported areas are floats and the total is their
+correctly rounded sum (math.fsum; Shewchuk 1997). The continuous
+first-order conditions have no closed form; they are kept only as
+residual diagnostics on the integer winner.
 
-Every value that depends only on a side count n (the excess, the unit
-gain of the (n+1)-th side, the angle pi/n with the stationarity score's
-factor, and the Shape) sits in a table per value, a dict that computes
-and keeps the entry for n on its first lookup. A process computes each
-once, for the counts its solves touch; import fills nothing and nothing
-that depends on the lengths is kept. The tolerance scales with
-sum(weights)/12, which bounds the total area from above (an n-gon of
-weight w encloses w/(4 pi (1 + excess)) < w/12); inside the band exact
-gains decide, so a wider band changes no result.
+Every value that depends only on a side count n (the exact and the float
+gain of the (n+1)-th side of a unit wire, the angle pi/n with the
+stationarity score's factor, and the Shape) sits in a table per value, a
+dict that computes and keeps the entry for n on its first lookup. A
+process computes each once, for the counts its solves touch; import fills
+nothing and nothing that depends on the lengths is kept. The tolerance
+scales with sum(weights)/12, which bounds the total area from above (an
+n-gon of weight w encloses w/(4 n tan(pi/n)) < w/(4 pi) < w/12); inside
+the band exact gains decide, so a wider band changes no result.
 """
 
 import math
 from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
-from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, _unit_area_exact, area, areas
+from .geometry import (
+    _BITS, Shape, _check_count, _check_positive, _integer_lengths, _Record, _sequence, _unit_area_exact,
+    area, areas,
+)
 
 __all__ = [
     "AllocationProblem",
@@ -56,22 +63,11 @@ __all__ = [
 
 # Most sides one wire can receive, I - 3(k-1). A solve's work does not grow
 # with it, but each count that a process's solves touch keeps an entry in
-# every per-count table: about 580 B a count with its exact area, 11.6 MB
-# for tables filled up to this limit (tracemalloc, CPython 3.11), and
-# 0.58 GB at 10**6 counts.
+# every per-count table: about 560 B a count with its exact area and gain,
+# 11.2 MB for tables filled up to this limit (tracemalloc, CPython 3.11),
+# and 0.56 GB at 10**6 counts.
 SIDE_LIMIT = 20_000
 
-# tan(a)/a - 1 = a**2/3 + 2a**4/15 + ...: coefficients of a**2 .. a**16.
-_TAN_SERIES = (
-    1 / 3,
-    2 / 15,
-    17 / 315,
-    62 / 2835,
-    1382 / 155925,
-    21844 / 6081075,
-    929569 / 638512875,
-    6404582 / 10854718875,
-)
 # _factor_at's a/tan(a)**2 - 1/tan(a) + a = -(a*cot(a))' = 2a/3 + 4a**3/45 + ...:
 # coefficients of a .. a**11; for a < 0.15 the sum is within 6 ulps.
 _FACTOR_SERIES = (
@@ -141,19 +137,6 @@ class _Table(dict):
         return value
 
 
-def _tan_excess(n: int) -> float:
-    """tan(a)/a - 1 with a = pi/n; a unit-perimeter n-gon encloses
-    1/(4 pi (1 + excess)). The series avoids cancellation for small a."""
-    a = math.pi / n
-    if a >= 0.1:
-        return math.tan(a) / a - 1.0
-    s = a * a
-    acc = 0.0
-    for c in reversed(_TAN_SERIES):
-        acc = acc * s + c
-    return acc * s
-
-
 def _factor_at(alpha: float) -> float:
     """alpha/tan(alpha)**2 - 1/tan(alpha) + alpha, the stationarity score
     divided by (alpha*length)**2. Its terms near 1/alpha cancel to about
@@ -169,11 +152,12 @@ def _factor_at(alpha: float) -> float:
     return acc * alpha
 
 
-# The (n+1)-th side of a wire of weight w adds w * _gain[n] in units of the
-# longest wire's length squared, a form free of the cancellation in g(n+1) - g(n).
-_excess = _Table(_tan_excess)
-_gain = _Table(lambda n: (_excess[n] - _excess[n + 1])
-               / (4.0 * math.pi * (1.0 + _excess[n]) * (1.0 + _excess[n + 1])))
+# The (n+1)-th side of a unit wire adds U(n+1) - U(n), U(n) the unit area
+# geometry._unit_area_exact(n): exactly, in units of 2**-_BITS, and as the
+# float that int / int true division rounds it to, correctly. A wire of
+# weight w adds w * _gain[n] in units of the longest wire's length squared.
+_exact_gain = _Table(lambda n: _unit_area_exact(n + 1) - _unit_area_exact(n))
+_gain = _Table(lambda n: _exact_gain[n] / (1 << _BITS))
 # A wire of n sides scores (pi/n * length)**2 * _factor_at(pi/n); one entry holds both.
 _angle = _Table(lambda n: (alpha := math.pi / n, _factor_at(alpha)))
 _polygon = _Table(Shape)
@@ -228,7 +212,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     if worst_accepted <= ceiling and len({x for x, last, step in zip(lengths, lasts, nexts)
                                           if last <= ceiling or step >= floor}) > 1:
         band = [i for i, (last, step) in enumerate(zip(lasts, nexts)) if last <= ceiling or step >= floor]
-        _exchange_exactly(sides, band, lengths, longest)
+        _exchange_exactly(sides, band, lengths)
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
     terms = _scores(map(_angle.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
@@ -265,22 +249,17 @@ def _exchange(sides, weights, gain, left, nexts, lasts) -> tuple:
         lasts[i], nexts[last - i] = top, weights[i] * gain[n]
 
 
-def _exchange_exactly(sides, band, lengths, longest) -> None:
-    """Repeat the exchange over the band's wires, in their order, on 60-digit
-    gains u**2 * (U(m+1) - U(m)), with u = x / longest and U(m) the unit
-    area geometry._unit_area_exact(m). The other wires can neither give nor
-    take a side, so their sides are held. The context is the function's
-    own, so the caller's precision and traps change nothing."""
-    from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
-
+def _exchange_exactly(sides, band, lengths) -> None:
+    """Repeat the exchange over the band's wires, in their order, on int
+    gains X**2 * _exact_gain[m], X the wire's length scaled to an integer
+    (geometry._integer_lengths). Products and comparisons of ints are
+    exact. The other wires can neither give nor take a side, so their sides
+    are held."""
     held = [sides[i] for i in band]
-    with localcontext(Context(prec=60, traps=[InvalidOperation, DivisionByZero, Overflow])):
-        longest = Decimal(longest)
-        weights = [u * u for u in (Decimal(lengths[i]) / longest for i in band)]
-        gain = _Table(lambda m: _unit_area_exact(m + 1) - _unit_area_exact(m))
-        nexts = [w * gain[n] for w, n in zip(weights, held)]
-        lasts = [w * gain[n - 1] if n > 3 else math.inf for w, n in zip(weights, held)]
-        _exchange(held, weights, gain, 0, nexts, lasts)
+    weights = [x * x for x in _integer_lengths([lengths[i] for i in band])]
+    nexts = [w * _exact_gain[n] for w, n in zip(weights, held)]
+    lasts = [w * _exact_gain[n - 1] if n > 3 else math.inf for w, n in zip(weights, held)]
+    _exchange(held, weights, _exact_gain, 0, nexts, lasts)
     for i, n in zip(band, held):
         sides[i] = n
 

@@ -16,6 +16,6 @@ class ResourceLimitError(WirecutError):
 
     The oracle refuses scans beyond its sample limit. The allocation optimizer
     refuses budgets that could give one wire more than 20,000 sides, which
-    bounds the per-count tables a process keeps: about 12 MB filled up to
-    that limit.
+    bounds the per-count tables a process keeps, exact areas included:
+    about 11 MB filled up to that limit.
     """

@@ -17,9 +17,13 @@ here as the lowest module.
 perimeter is a finite non-negative float, which ``area`` would accept, it
 evaluates the same expression in one list pass, and otherwise it calls
 ``area`` on each piece in turn, so it returns the same bits and raises the
-same errors. The closed-form solvers take their pieces' areas from it, and
-the allocation optimizer and oracle rank allocations by the 60-digit areas
-of ``_unit_area_exact``.
+same errors. The closed-form solvers take their pieces' areas from it.
+
+``_unit_area_exact`` gives the area of a unit-perimeter n-gon times
+2**_BITS as a plain int, from a fixed-point series (Brent 1976). The
+allocation optimizer rounds its float gains from these ints and ranks near
+ties on them exactly, as does the oracle, each wire's areas weighed by the
+square of its length scaled to an integer (``_integer_lengths``).
 """
 
 import math
@@ -158,35 +162,43 @@ def areas(shapes, perimeters) -> list[float]:
     return [p * p / (4.0 * s._sigma) for s, p in zip(shapes, perimeters)]
 
 
-# pi to 64 significant digits, and _unit_area_exact's values by side count.
-_PI = "3.141592653589793238462643383279502884197169399375105820974944592"
+# _unit_area_exact's values are unit areas times 2**_BITS. Its series run
+# with 32 guard bits, on pi * 2**(_BITS + 32) rounded to an int.
+_BITS = 224
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
 _exact_areas = {}
 
 
-def _unit_area_exact(n: int):
-    """1/(4 n tan(pi/n)), the area of a regular n-gon of unit perimeter, as a
-    60-digit decimal.Decimal, from the Taylor series of sin and cos of pi/n
-    summed at 64 digits until a term of cos falls below 1e-66. Each count is
-    computed on its first call and kept; decimal is imported only then."""
+def _unit_area_exact(n: int) -> int:
+    """1/(4 n tan(pi/n)), the area of a regular n-gon of unit perimeter,
+    times 2**_BITS as an int, from the Taylor series of sin and cos of pi/n
+    in fixed point. The terms are summed as magnitudes of alternating sign,
+    until the cos term floors to 0. Each count is computed on its first
+    call and kept."""
     value = _exact_areas.get(n)
     if value is None:
-        from decimal import Context, Decimal, localcontext
-
-        with localcontext(Context(prec=64)):
-            x = Decimal(_PI) / n
-            step = -x * x
-            sin = odd = x
-            cos = even = Decimal(1)
-            j = 1
-            while even.adjusted() >= -66:  # |even| >= 1e-66
-                even = even * step / (j * (j + 1))
-                odd = odd * step / ((j + 1) * (j + 2))
-                cos += even
-                sin += odd
-                j += 2
-            value = cos / (4 * n * sin)
-        _exact_areas[n] = value = Context(prec=60).plus(value)
+        point = _BITS + 32
+        x = _PI // n
+        square = x * x >> point
+        sin = odd = x
+        cos = even = 1 << point
+        j, sign = 1, -1
+        while even:
+            even = even * square // (j * (j + 1) << point)
+            odd = odd * square // ((j + 1) * (j + 2) << point)
+            cos += sign * even
+            sin += sign * odd
+            j, sign = j + 2, -sign
+        _exact_areas[n] = value = (cos << _BITS) // (4 * n * sin)
     return value
+
+
+def _integer_lengths(lengths) -> list[int]:
+    """The float lengths times the one power of two that makes each an
+    integer, so that their squares weigh exact areas exactly."""
+    ratios = [x.as_integer_ratio() for x in lengths]
+    scale = max([den for _, den in ratios])
+    return [num * (scale // den) for num, den in ratios]
 
 
 def _check_positive(value, what, allow_zero=False):

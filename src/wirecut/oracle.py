@@ -22,7 +22,7 @@ from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult
 from .errors import ResourceLimitError
 from .extrema import GRID_SAMPLE, PartitionProblem, PartitionResult
-from .geometry import Shape, _check_count, _Record, _unit_area_exact, area
+from .geometry import Shape, _check_count, _integer_lengths, _Record, _unit_area_exact, area
 
 __all__ = [
     "GridSpec",
@@ -169,15 +169,13 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     The winner has the largest exact total and, of equal ones, comes first
     in scan order, so it is the lexicographically smallest; exact totals tie
     only where wires of bit-equal length trade counts. Each wire's area at
-    each count is taken exactly (geometry._unit_area_exact) in units of the
-    longest wire's length squared, times 2**p, as an int: p keeps 60 digits
-    of the shortest wire's, and sums of ints are exact in any order.
+    each count is the int X**2 * U(n), X the wire's length scaled to an
+    integer (geometry._integer_lengths) and U(n) the unit area
+    geometry._unit_area_exact(n), so sums are exact in any order.
 
     Raises ResourceLimitError when the scan would visit more than 10**8
     side tuples, or keep the areas of more than 10**5 counts per wire.
     """
-    from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
-
     lengths = problem.wire_lengths
     wires = len(lengths)
     budget = problem.side_budget
@@ -189,18 +187,8 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
         raise ResourceLimitError(
             f"{len(head_range)} side counts per wire exceed the exact table limit of {_COUNT_LIMIT}"
         )
-    tables = []
-    # The context is the scan's own, so the caller's precision and traps
-    # change nothing.
-    with localcontext(Context(prec=60, traps=[InvalidOperation, DivisionByZero, Overflow])):
-        longest = Decimal(max(lengths))
-        # An area is over 2**-5 of its wire's length squared, and that is over
-        # 2**(2 (e_shortest - e_longest - 1)) of the longest's; 2**200 > 10**60.
-        scale = Decimal(2 ** (207 + 2 * (math.frexp(max(lengths))[1] - math.frexp(min(lengths))[1])))
-        for x in lengths:
-            u = Decimal(x) / longest
-            weight = u * u * scale
-            tables.append({n: int(weight * _unit_area_exact(n)) for n in range(3, head_range.stop)})
+    tables = [{n: x * x * _unit_area_exact(n) for n in range(3, head_range.stop)}
+              for x in _integer_lengths(lengths)]
     best_sides, best_total = None, -1
     for head in product(head_range, repeat=wires - 1):
         last = budget - sum(head)

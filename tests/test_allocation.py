@@ -137,24 +137,22 @@ def test_resource_guard():
     assert optimize_allocation(AllocationProblem((1.0,) * 30, 105)).sides == (3,) * 15 + (4,) * 15
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "decimal"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("start, left", [((5, 4), 0), ((4, 4), 1)])
 def test_exchange_moves_equal_gains_only_to_a_later_wire(start, left, exact):
-    """Two equal wires, on float gains and on the exact pass's 60-digit ones:
+    """Two equal wires, on float gains and on the exact pass's int ones:
     of equal gains the later wire takes a side and the earlier one gives it.
     So (5, 4) trades its tie to (4, 5), where a loop that stopped at equal
     gains would keep (5, 4), and a side handed to (4, 4) goes to the second
     wire."""
     sides = list(start)
-    with localcontext(Context(prec=60)):
-        if exact:
-            weights = [Decimal(1)] * 2
-            gain = allocation._Table(lambda m: geometry._unit_area_exact(m + 1) - geometry._unit_area_exact(m))
-        else:
-            weights, gain = [1.0] * 2, allocation._gain
-        nexts = [w * gain[n] for w, n in zip(weights, sides)]
-        lasts = [w * gain[n - 1] for w, n in zip(weights, sides)]
-        allocation._exchange(sides, weights, gain, left, nexts, lasts)
+    if exact:
+        weights, gain = [1] * 2, allocation._exact_gain
+    else:
+        weights, gain = [1.0] * 2, allocation._gain
+    nexts = [w * gain[n] for w, n in zip(weights, sides)]
+    lasts = [w * gain[n - 1] for w, n in zip(weights, sides)]
+    allocation._exchange(sides, weights, gain, left, nexts, lasts)
     assert sides == [4, 5]
 
 
@@ -202,11 +200,7 @@ def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch, size, extra
         if total > best_total:
             best_total, best = total, sides
     assert best == (3,) * (size - extra) + (4,) * extra + (12,) * len(beside)
-
-    def refuse(*args):
-        raise AssertionError("an exact gain was taken")
-
-    monkeypatch.setattr(allocation, "_unit_area_exact", refuse)
+    refuse_the_band(monkeypatch)
     calls = []
     kernel = allocation.area
     monkeypatch.setattr(allocation, "area", lambda *args: calls.append(args) or kernel(*args))
@@ -419,6 +413,7 @@ def test_near_tie_scoring_takes_each_area_once(monkeypatch):
     for wires, budget in ((20, 70), (30, 105)):
         fills = []
         monkeypatch.setattr(geometry, "_exact_areas", Fills())
+        allocation._exact_gain.clear()
         lengths = ulp_chain(1.0, wires)
         result = optimize_allocation(AllocationProblem(lengths, budget))
         assert result.sides == (3,) * (wires // 2) + (4,) * (wires // 2)
@@ -529,18 +524,17 @@ def test_optimizer_and_oracle_match_an_exact_brute_force():
 
 
 def test_gain_table_is_far_inside_the_band_tolerance():
-    """The float gain of the (n+1)-th side of a unit wire against the exact
-    difference of 60-digit areas, for every count up to 400 and every 37th
-    up to the side limit. The smallest band is (2 + 8) * 2**-50 / 12: two
-    wires, the longest of weight 1. A pair of gains misorders only within
-    the sum of their errors, so twenty times the worst error under it
-    leaves the band a margin of ten for the weights' rounding."""
+    """The float gain of the (n+1)-th side of a unit wire against the
+    difference of 80-digit reference areas, which share no code with the
+    package's kernel, for every count up to 400 and every 37th up to the
+    side limit. The smallest band is (2 + 8) * 2**-50 / 12: two wires, the
+    longest of weight 1. A pair of gains misorders only within the sum of
+    their errors, so twenty times the worst error under it leaves the band
+    a margin of ten for the weights' rounding."""
     counts = sorted({*range(3, 400), *range(400, allocation.SIDE_LIMIT, 37), allocation.SIDE_LIMIT})
-    worst = max(
-        abs(Decimal(allocation._gain[n]) - (geometry._unit_area_exact(n + 1) - geometry._unit_area_exact(n)))
-        for n in counts
-    )
-    assert 20 * worst < Decimal(10 * 2.0**-50 / 12)
+    with localcontext(Context(prec=90)):
+        worst = max(abs(Decimal(allocation._gain[n]) - (reference_area(n + 1) - reference_area(n))) for n in counts)
+        assert 20 * worst < Decimal(10 * 2.0**-50 / 12)
 
 
 @pytest.mark.parametrize("lengths, budget, sides", [
@@ -847,11 +841,13 @@ def test_solve_work_does_not_grow_with_the_budget(monkeypatch, fresh_tables):
 ])
 def test_exact_exchange_reads_a_few_areas_per_wire(monkeypatch, lengths, budget, sides):
     """Gains that nearly tie at the side limit: the exact exchange starts
-    from the greedy's vector, so it reads at most three exact areas per
-    wire, those of its last and next gains."""
+    from the greedy's vector, so it reads a few exact areas per wire, those
+    of its last and next gains, beside those the float pass rounds its
+    gains from."""
     monkeypatch.setattr(geometry, "_exact_areas", {})
+    allocation._exact_gain.clear()
     assert optimize_allocation(AllocationProblem(lengths, budget)).sides == sides
-    assert 0 < len(geometry._exact_areas) <= 3 * len(lengths)
+    assert 0 < len(geometry._exact_areas) <= 4 * len(lengths)
 
 
 def test_import_fills_nothing():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -225,11 +226,21 @@ def test_exact_area_matches_radicals_to_55_digits():
                     8: Decimal(2).sqrt() - 1, 10: (1 - 2 / root5).sqrt(), 12: 2 - root3}
         for n, tangent in tangents.items():
             expected = 1 / (4 * n * tangent)
-            assert abs(geometry._unit_area_exact(n) - expected) <= expected * Decimal("1e-55"), n
-            assert float(geometry._unit_area_exact(n)) == pytest.approx(area(Shape(n), 1.0), rel=1e-15)
+            value = Decimal(geometry._unit_area_exact(n)) / 2**geometry._BITS
+            assert abs(value - expected) <= expected * Decimal("1e-55"), n
+            assert float(value) == pytest.approx(area(Shape(n), 1.0), rel=1e-15)
 
 
 def test_importing_the_cli_loads_no_decimal():
-    script = "import sys, wirecut.cli; print('decimal' in sys.modules)"
+    """Nor does a solve that ranks its band exactly, or a verify that
+    enumerates allocations: both take their exact areas as ints."""
+    problem = Path(__file__).resolve().parents[1] / "problems" / "allocation_two_wires.json"
+    script = (
+        "import sys, wirecut.cli; "
+        "wirecut.cli.main(['allocate', '--lengths', '1,1.3', '--budget', '20003']); "
+        f"wirecut.cli.main(['verify', '--file', {str(problem)!r}]); "
+        "print('decimal' in sys.modules)"
+    )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert "9129" in result.stdout and "verification passed" in result.stdout
+    assert result.stdout.splitlines()[-1] == "False"

@@ -151,7 +151,7 @@ def test_enumerate_guard_counts_visited_tuples():
 
 def test_enumerate_guard_counts_exact_areas(monkeypatch):
     """Two wires visit as many tuples as one wire has counts, so the tuple
-    limit alone would let the exact table grow to 10**8 Decimals; the count
+    limit alone would let the exact table grow to 10**8 ints; the count
     limit refuses the scan before any exact area is taken."""
 
     def refuse(n):

@@ -84,6 +84,21 @@ def test_wrong_solver_fails_its_check(capsys, monkeypatch, name, solver, wrong, 
     assert [check["ok"] for check in payload["checks"]] == oks
 
 
+@pytest.mark.parametrize("shapes", [(4, 3), (3, 4, 6)])
+def test_minimum_above_the_true_one_fails_its_check(monkeypatch, shapes):
+    """A closed-form minimum 1e-4 above the true one lies below no lattice
+    sample by more than the check's slack of 1e-9 of the total, so the
+    minimum check fails while the maximum check still passes."""
+
+    def high_min(problem):
+        result = minimize_partition(problem)
+        return replace(result, total_area=result.total_area * (1 + 1e-4))
+
+    monkeypatch.setattr(verify, "minimize_partition", high_min)
+    checks = cross_check(PartitionProblem(12.0, shapes))
+    assert [check.ok for check in checks] == [False, True], checks
+
+
 def test_cross_check_rejects_other_types():
     with pytest.raises(TypeError, match="cannot cross-check a int"):
         cross_check(42)
