@@ -31,7 +31,6 @@ __all__ = [
     "shared_perimeter_total",
     "threshold_roots",
     "feasibility_range",
-    "solve_two_polygon",
     "solve_equal_perimeter",
 ]
 
@@ -194,8 +193,9 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
 
 
 def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
-    """General case: first k shapes share perimeter x, last takes L - k*x.
-    Open intervals within (0, L/k); reduces to solve_two_polygon at k = 1."""
+    """The first k shapes share perimeter x and the last takes L - k*x.
+    Open intervals within (0, L/k); k = 1 is the paper's two-shape split
+    x / L - x."""
     k = len(query.problem.shapes) - 1
     length = query.problem.total_length
     domain_hi = length / k
@@ -208,10 +208,3 @@ def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:
     kept = tuple([(start, end) for start, end in pieces if end - start > floor])
     return IntervalSet(kept, (0.0, domain_hi))
 
-
-def solve_two_polygon(query: BoundQuery) -> IntervalSet:
-    """Two shapes: where does area(first, x) + area(second, L - x) beat or
-    stay under the threshold? Open intervals within (0, L)."""
-    if len(query.problem.shapes) != 2:
-        raise ValueError("solve_two_polygon expects exactly two shapes")
-    return solve_equal_perimeter(query)

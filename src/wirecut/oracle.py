@@ -1,11 +1,11 @@
 """Deliberately naive brute-force references for the closed-form solvers.
 
 The partition oracles score every sample of a uniform lattice over the
-simplex of piece lengths, in lexicographic order, keeping the first
-minimum and the first maximum: grid_extremes takes both from one pass, and
-grid_min and grid_max each return one of them. A pass evaluates the area
-kernel once per distinct shape and lattice step (at most k*(res+1) calls,
-not one per shape and sample) and adds each sample's areas left to right.
+simplex of piece lengths, in lexicographic order, and grid_extremes keeps
+the first minimum and the first maximum from one pass. A pass evaluates
+the area kernel once per distinct shape and lattice step (at most
+k*(res+1) calls, not one per shape and sample) and adds each sample's
+areas left to right.
 A plain recursion over all parts but the last two hands the lattice to one
 keeper a run at a time; a two-shape lattice is one run, scored in blocks
 without tables, so memory stays flat. The allocation oracle enumerates
@@ -26,8 +26,6 @@ from .geometry import Shape, _check_count, _integer_lengths, _Record, _unit_area
 
 __all__ = [
     "GridSpec",
-    "grid_min",
-    "grid_max",
     "grid_extremes",
     "enumerate_allocations",
 ]
@@ -132,35 +130,21 @@ def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
     return extremes
 
 
-def _sample(problem: PartitionProblem, grid: GridSpec, extreme) -> PartitionResult:
-    """The PartitionResult of one (total, counts, areas) that _extremes found."""
-    total, counts, areas = extreme
-    if not math.isfinite(total):
-        raise ValueError("lattice totals are not finite (lengths beyond the float range)")
-    length = problem.total_length
-    lengths = tuple(length * (c / grid.resolution) for c in counts)
-    return PartitionResult(GRID_SAMPLE, lengths, areas, total)
-
-
 def grid_extremes(
     problem: PartitionProblem, grid: GridSpec
 ) -> tuple[PartitionResult, PartitionResult]:
-    """(grid_min, grid_max) of the problem from one scan of the lattice.
+    """The lattice's first minimum and first maximum, from one scan: an
+    upper bound on the true minimum and a lower bound on the true maximum.
 
     Raises ValueError where either extreme's total is not finite.
     """
-    low, high = _extremes(problem, grid)
-    return _sample(problem, grid, low), _sample(problem, grid, high)
-
-
-def grid_min(problem: PartitionProblem, grid: GridSpec) -> PartitionResult:
-    """Smallest total area over the lattice; upper bound on the true minimum."""
-    return _sample(problem, grid, _extremes(problem, grid)[0])
-
-
-def grid_max(problem: PartitionProblem, grid: GridSpec) -> PartitionResult:
-    """Largest total area over the lattice; lower bound on the true maximum."""
-    return _sample(problem, grid, _extremes(problem, grid)[1])
+    results = []
+    for total, counts, areas in _extremes(problem, grid):
+        if not math.isfinite(total):
+            raise ValueError("lattice totals are not finite (lengths beyond the float range)")
+        lengths = tuple(problem.total_length * (c / grid.resolution) for c in counts)
+        results.append(PartitionResult(GRID_SAMPLE, lengths, areas, total))
+    return tuple(results)
 
 
 def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:

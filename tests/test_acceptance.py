@@ -21,8 +21,7 @@ from wirecut import (
     enumerate_allocations,
     face_stationary,
     feasibility_range,
-    grid_max,
-    grid_min,
+    grid_extremes,
     maximize_partition,
     minimize_partition,
     optimize_allocation,
@@ -30,7 +29,6 @@ from wirecut import (
     shared_perimeter_total,
     sigma,
     solve_equal_perimeter,
-    solve_two_polygon,
     threshold_roots,
     total_area,
 )
@@ -103,7 +101,7 @@ def test_ac3_three_shape_golden_set_with_corrected_maximum():
     assert face.total_area == pytest.approx(3.5007, **GOLDEN)
     high = maximize_partition(problem)
     assert high.total_area == pytest.approx(7.9577, **GOLDEN)
-    sampled = grid_max(problem, GridSpec(200))
+    sampled = grid_extremes(problem, GridSpec(200))[1]
     assert sampled.total_area == pytest.approx(high.total_area, rel=1e-9)
     assert sampled.total_area > face.total_area
     report("AC3 square+triangle+circle golden set (L=10), corrected maximum")
@@ -141,13 +139,12 @@ def test_ac5_oracle_equivalence_randomized():
         resolution = GRID_RESOLUTION[len(problem.shapes)]
         grid = GridSpec(resolution)
         low = minimize_partition(problem)
-        sampled_low = grid_min(problem, grid)
+        sampled_low, sampled_high = grid_extremes(problem, grid)
         slack = 1e-12 * low.total_area
         gap = sampled_low.total_area - low.total_area
         assert gap >= -slack
         assert gap <= lattice_error_bound(problem, resolution) + slack
         high = maximize_partition(problem)
-        sampled_high = grid_max(problem, grid)
         assert high.total_area >= sampled_high.total_area - 1e-12 * high.total_area
     report("AC5 oracle equivalence on 200 random partition problems")
 
@@ -172,8 +169,7 @@ def test_ac6_bounds_soundness_randomized():
             threshold = supremum * rng.uniform(1.05, 2.0)
         sense = rng.choice(("lower", "upper"))
         query = BoundQuery(problem, threshold, sense)
-        solver = solve_two_polygon if k == 1 else solve_equal_perimeter
-        intervals = solver(query)
+        intervals = solve_equal_perimeter(query)
         guard = 1e-6 * problem.total_length
 
         def satisfied(x):

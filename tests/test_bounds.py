@@ -17,7 +17,6 @@ from wirecut import (
     minimize_partition,
     shared_perimeter_total,
     solve_equal_perimeter,
-    solve_two_polygon,
     threshold_roots,
     total_area,
 )
@@ -61,23 +60,23 @@ def test_roots_none_below_minimum():
 
 def test_two_polygon_goldens():
     problem = PartitionProblem(12, (4, 3))
-    lower = solve_two_polygon(BoundQuery(problem, 5.0, "lower"))
+    lower = solve_equal_perimeter(BoundQuery(problem, 5.0, "lower"))
     assert len(lower.intervals) == 2
     assert lower.intervals[0] == pytest.approx((0.0, 2.087), abs=2e-3)
     assert lower.intervals[1] == pytest.approx((8.352, 12.0), abs=2e-3)
-    upper = solve_two_polygon(BoundQuery(problem, 5.0, "upper"))
+    upper = solve_equal_perimeter(BoundQuery(problem, 5.0, "upper"))
     assert len(upper.intervals) == 1
     assert upper.intervals[0] == pytest.approx((2.087, 8.352), abs=2e-3)
 
 
 def test_two_polygon_degenerate_thresholds():
     problem = PartitionProblem(12, (4, 3))
-    lower = solve_two_polygon(BoundQuery(problem, 1.0, "lower"))
+    lower = solve_equal_perimeter(BoundQuery(problem, 1.0, "lower"))
     assert lower.intervals == ((0.0, 12.0),)
-    assert solve_two_polygon(BoundQuery(problem, 1.0, "upper")).is_empty
-    upper = solve_two_polygon(BoundQuery(problem, 10.0, "upper"))
+    assert solve_equal_perimeter(BoundQuery(problem, 1.0, "upper")).is_empty
+    upper = solve_equal_perimeter(BoundQuery(problem, 10.0, "upper"))
     assert upper.intervals == ((0.0, 12.0),)
-    assert solve_two_polygon(BoundQuery(problem, 10.0, "lower")).is_empty
+    assert solve_equal_perimeter(BoundQuery(problem, 10.0, "lower")).is_empty
 
 
 def test_equal_perimeter_clips_to_domain():
@@ -88,22 +87,6 @@ def test_equal_perimeter_clips_to_domain():
     lower = solve_equal_perimeter(BoundQuery(problem, 5.0, "lower"))
     assert len(lower.intervals) == 1
     assert lower.intervals[0] == pytest.approx((0.0, 1.089), abs=2e-3)
-
-
-def test_equal_perimeter_reduces_to_two_polygon():
-    rng = random.Random(6)
-    for _ in range(20):
-        problem = random_problem(rng, max_shapes=2)
-        threshold = rng.uniform(0.1, 2.0) * minimize_partition(problem).total_area
-        for sense in ("lower", "upper"):
-            query = BoundQuery(problem, threshold, sense)
-            assert solve_two_polygon(query) == solve_equal_perimeter(query)
-
-
-def test_two_polygon_requires_two_shapes():
-    query = BoundQuery(PartitionProblem(10, (4, 3, "circle")), 5.0, "upper")
-    with pytest.raises(ValueError):
-        solve_two_polygon(query)
 
 
 def test_query_validation():

@@ -17,8 +17,6 @@ from wirecut import (
     ResourceLimitError,
     enumerate_allocations,
     grid_extremes,
-    grid_max,
-    grid_min,
     minimize_partition,
     optimize_allocation,
     sigma,
@@ -43,18 +41,18 @@ def test_grid_spec_validation():
 def test_grid_rejects_many_shapes():
     problem = PartitionProblem(10, (3,) * 7)
     with pytest.raises(ResourceLimitError):
-        grid_min(problem, GridSpec(4))
+        grid_extremes(problem, GridSpec(4))
 
 
 def test_grid_rejects_huge_sample_count():
     problem = PartitionProblem(10, (3, 4, 5, 6, 7, 8))
     with pytest.raises(ResourceLimitError):
-        grid_min(problem, GridSpec(10**4))
+        grid_extremes(problem, GridSpec(10**4))
 
 
 def test_grid_min_two_shapes_close_to_closed_form():
     problem = PartitionProblem(12, (4, 3))
-    result = grid_min(problem, GridSpec(10**4))
+    result = grid_extremes(problem, GridSpec(10**4))[0]
     closed = minimize_partition(problem)
     assert result.total_area >= closed.total_area
     assert result.total_area - closed.total_area <= 1e-4
@@ -63,8 +61,8 @@ def test_grid_min_two_shapes_close_to_closed_form():
 def test_grid_min_error_shrinks_quadratically():
     problem = PartitionProblem(7.0, (5, "circle"))
     closed = minimize_partition(problem).total_area
-    gap_coarse = grid_min(problem, GridSpec(100)).total_area - closed
-    gap_fine = grid_min(problem, GridSpec(1000)).total_area - closed
+    gap_coarse = grid_extremes(problem, GridSpec(100))[0].total_area - closed
+    gap_fine = grid_extremes(problem, GridSpec(1000))[0].total_area - closed
     assert 0 <= gap_fine <= gap_coarse
     assert gap_fine <= lattice_error_bound(problem, 1000)
     assert gap_coarse <= lattice_error_bound(problem, 100)
@@ -72,10 +70,10 @@ def test_grid_min_error_shrinks_quadratically():
 
 def test_grid_min_identical_shapes_centers():
     problem = PartitionProblem(10, (4, 4))
-    result = grid_min(problem, GridSpec(100))
+    result = grid_extremes(problem, GridSpec(100))[0]
     assert result.lengths == pytest.approx((5.0, 5.0), rel=1e-12)
     pair = PartitionProblem(10, ("circle", "circle"))
-    result = grid_min(pair, GridSpec(101))
+    result = grid_extremes(pair, GridSpec(101))[0]
     # odd resolution: the two samples astride the center tie; either is fine
     assert result.lengths[0] == pytest.approx(5.0, abs=10 / 101)
     assert result.total_area == pytest.approx(minimize_partition(pair).total_area, rel=1e-3)
@@ -83,20 +81,20 @@ def test_grid_min_identical_shapes_centers():
 
 def test_grid_max_two_shapes_at_endpoint():
     problem = PartitionProblem(12, (4, 3))
-    result = grid_max(problem, GridSpec(500))
+    result = grid_extremes(problem, GridSpec(500))[1]
     assert result.lengths in ((12.0, 0.0), (0.0, 12.0))
     assert result.total_area == pytest.approx(9.0, rel=1e-12)
 
 
 def test_grid_max_pentagon_tie():
     problem = PartitionProblem(4.0, (5, 5))
-    result = grid_max(problem, GridSpec(250))
+    result = grid_extremes(problem, GridSpec(250))[1]
     assert sorted(result.lengths) == pytest.approx([0.0, 4.0], abs=1e-12)
 
 
 def test_grid_max_finds_circle_vertex():
     problem = PartitionProblem(10, (4, 3, "circle"))
-    result = grid_max(problem, GridSpec(1000))
+    result = grid_extremes(problem, GridSpec(1000))[1]
     assert result.lengths == (0.0, 0.0, 10.0)
     assert result.total_area == pytest.approx(100 / (4 * math.pi), rel=1e-12)
 
@@ -107,14 +105,14 @@ def test_grid_max_below_isoperimetric_ceiling():
         count = rng.randint(2, 4)
         shapes = tuple(rng.choice(SHAPE_POOL) for _ in range(count))
         problem = PartitionProblem(rng.uniform(1.0, 50.0), shapes)
-        result = grid_max(problem, GridSpec(40))
+        result = grid_extremes(problem, GridSpec(40))[1]
         ceiling = problem.total_length ** 2 / (4 * math.pi)
         assert result.total_area <= ceiling * (1 + 1e-12)
 
 
 def test_grid_results_are_consistent_samples():
     problem = PartitionProblem(9.0, (3, 6, "circle"))
-    for result in (grid_min(problem, GridSpec(60)), grid_max(problem, GridSpec(60))):
+    for result in grid_extremes(problem, GridSpec(60)):
         assert result.kind == "grid-sample"
         assert sum(result.lengths) == pytest.approx(9.0, rel=1e-9)
         assert sum(result.per_shape_areas) == pytest.approx(result.total_area, rel=1e-12)
@@ -214,21 +212,9 @@ def lattice_scans(draw):
 
 @given(lattice_scans())
 @settings(max_examples=150, deadline=None)
-def test_scans_match_per_sample_reference(scan):
-    problem, resolution = scan
-    for scanner, want_max in ((grid_min, False), (grid_max, True)):
-        result = scanner(problem, GridSpec(resolution))
-        expected = reference_scan(problem, resolution, want_max)
-        assert (result.lengths, result.per_shape_areas, result.total_area) == expected
-
-
-@given(lattice_scans())
-@settings(max_examples=150, deadline=None)
 def test_one_pass_takes_both_extremes(scan):
     problem, resolution = scan
-    grid = GridSpec(resolution)
-    both = grid_extremes(problem, grid)
-    assert repr(both) == repr((grid_min(problem, grid), grid_max(problem, grid)))
+    both = grid_extremes(problem, GridSpec(resolution))
     got = [(r.lengths, r.per_shape_areas, r.total_area) for r in both]
     expected = [reference_scan(problem, resolution, want_max) for want_max in (False, True)]
     assert repr(got) == repr(expected)
@@ -265,11 +251,9 @@ def test_scan_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution
 
     monkeypatch.setattr(oracle, "area", counted)
     problem = PartitionProblem(9.0, shapes)
-    for scanner in (grid_min, grid_max):
-        calls.clear()
-        scanner(problem, GridSpec(resolution))
-        assert 0 < len(calls) <= len(shapes) * (resolution + 1)
-        assert set(calls) == {parse_shape(s) for s in shapes}
+    grid_extremes(problem, GridSpec(resolution))
+    assert 0 < len(calls) <= len(shapes) * (resolution + 1)
+    assert set(calls) == {parse_shape(s) for s in shapes}
 
 
 @pytest.mark.parametrize("shapes, resolution", [
@@ -292,29 +276,6 @@ def test_one_pass_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolu
     assert set(calls) == {parse_shape(s) for s in shapes}
 
 
-def test_two_shape_scan_streams():
-    problem = PartitionProblem(12.0, (4, 3))
-    tracemalloc.start()
-    try:
-        grid_min(problem, GridSpec(200_000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def test_non_finite_lattice_raises():
-    problem = PartitionProblem(1e200, (3, 4))
-    for scanner in (grid_min, grid_max):
-        with pytest.raises(ValueError, match="lattice totals are not finite"):
-            scanner(problem, GridSpec(4))
-    # Some totals overflow: the minimum is still a finite sample, the maximum is not.
-    edge = PartitionProblem(1.5e154, (3, 4, 5))
-    assert math.isfinite(grid_min(edge, GridSpec(4)).total_area)
-    with pytest.raises(ValueError, match="lattice totals are not finite"):
-        grid_max(edge, GridSpec(4))
-
-
 def test_one_pass_streams_two_shapes():
     problem = PartitionProblem(12.0, (4, 3))
     tracemalloc.start()
@@ -327,12 +288,8 @@ def test_one_pass_streams_two_shapes():
 
 
 def test_one_pass_raises_where_either_extreme_is_not_finite():
-    for problem in (PartitionProblem(1e200, (3, 4)), PartitionProblem(1e200, (3, 4, 5))):
+    # At 1.5e154 only some totals overflow: the minimum is finite, the maximum is not.
+    for problem in (PartitionProblem(1e200, (3, 4)), PartitionProblem(1e200, (3, 4, 5)),
+                    PartitionProblem(1.5e154, (3, 4, 5))):
         with pytest.raises(ValueError, match="lattice totals are not finite"):
             grid_extremes(problem, GridSpec(4))
-    # The minimum alone is finite: grid_min returns it, the other two raise.
-    edge = PartitionProblem(1.5e154, (3, 4, 5))
-    assert math.isfinite(grid_min(edge, GridSpec(4)).total_area)
-    for scanner in (grid_max, grid_extremes):
-        with pytest.raises(ValueError, match="lattice totals are not finite"):
-            scanner(edge, GridSpec(4))
