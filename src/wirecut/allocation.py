@@ -20,11 +20,11 @@ geometry._unit_area_exact, ints scaled by 2**_BITS. The exact gain of a
 side is the difference of two of them, and the float gain is that int
 correctly rounded. Float gains misorder only gains within their rounding
 error. So where gains lie within a far wider tolerance of the greedy
-cutoff, the same exchange runs again over the wires that could give or
-take those sides, on the exact gains weighed by the squared lengths
-scaled to integers, with the other wires held. It starts from the
-greedy's vector, so it reads a few exact areas per wire at any budget.
-Where every such wire has one length, nothing needs it, and this is
+cutoff, the same exchange runs again over every wire, on exact gains
+weighed by the squared lengths scaled to integers; wires far from the
+cutoff cannot move. It starts from the greedy's vector, so it reads a few
+exact areas per wire at any budget. Where every wire that could give or
+take a side near the cutoff has one length, nothing needs it, and this is
 decided first: the float gains of bit-equal wires order as their exact
 ones (Yap 1997: decide the combinatorial outcome exactly, compute the
 values in floats). Reported areas are floats and the total is their
@@ -208,11 +208,16 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # length, their float gains order as their exact ones: bit-equal wires
     # gain bit-equal amounts at each count, and each wire's gains fall
     # strictly with the count. So the greedy's vector is the first exact
-    # optimum, and nothing is ranked exactly.
+    # optimum, and nothing is ranked exactly. Otherwise the exchange runs
+    # again from the greedy's vector on int gains X**2 * _exact_gain[m], X
+    # the wire's length scaled to an integer, whose products and comparisons
+    # are exact. A wire outside the band can neither give nor take a side.
     if worst_accepted <= ceiling and len({x for x, last, step in zip(lengths, lasts, nexts)
                                           if last <= ceiling or step >= floor}) > 1:
-        band = [i for i, (last, step) in enumerate(zip(lasts, nexts)) if last <= ceiling or step >= floor]
-        _exchange_exactly(sides, band, lengths)
+        weights = [x * x for x in _integer_lengths(lengths)]
+        nexts = [w * _exact_gain[n] for w, n in zip(weights, sides)]
+        lasts = [w * _exact_gain[n - 1] if n > 3 else inf for w, n in zip(weights, sides)]
+        _exchange(sides, weights, _exact_gain, 0, nexts, lasts)
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
     terms = _scores(map(_angle.__getitem__, sides), lengths)
     return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
@@ -247,21 +252,6 @@ def _exchange(sides, weights, gain, left, nexts, lasts) -> tuple:
             lasts[j] = weights[j] * gain[n] if n > 2 else inf
         n = sides[i] = sides[i] + 1
         lasts[i], nexts[last - i] = top, weights[i] * gain[n]
-
-
-def _exchange_exactly(sides, band, lengths) -> None:
-    """Repeat the exchange over the band's wires, in their order, on int
-    gains X**2 * _exact_gain[m], X the wire's length scaled to an integer
-    (geometry._integer_lengths). Products and comparisons of ints are
-    exact. The other wires can neither give nor take a side, so their sides
-    are held."""
-    held = [sides[i] for i in band]
-    weights = [x * x for x in _integer_lengths([lengths[i] for i in band])]
-    nexts = [w * _exact_gain[n] for w, n in zip(weights, held)]
-    lasts = [w * _exact_gain[n - 1] if n > 3 else math.inf for w, n in zip(weights, held)]
-    _exchange(held, weights, _exact_gain, 0, nexts, lasts)
-    for i, n in zip(band, held):
-        sides[i] = n
 
 
 def stationarity_term(side: float, length: float) -> float:

@@ -232,12 +232,13 @@ def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
 
 
 def refuse_the_band(monkeypatch):
-    """Make an exact exchange over the band fail the test."""
+    """Make the exact pass fail the test: of a solve's steps, only it scales
+    the lengths to integers."""
 
     def refuse(*args):
         raise AssertionError("the band was ranked exactly")
 
-    monkeypatch.setattr(allocation, "_exchange_exactly", refuse)
+    monkeypatch.setattr(allocation, "_integer_lengths", refuse)
 
 
 @pytest.mark.parametrize("lengths, budget, sides", [
@@ -267,6 +268,26 @@ def test_equal_wires_share_the_budget_evenly(monkeypatch, wires):
     for budget in [*range(3 * wires, 6 * wires + 1), *range(top - 2 * wires, top + 1)]:
         q, r = divmod(budget - 3 * wires, wires)
         assert optimize_allocation(AllocationProblem(lengths, budget)).sides == (3 + q,) * (wires - r) + (4 + q,) * r
+
+
+@pytest.mark.parametrize("lengths, budget, sides", [
+    ((2.5169430940636435, 2.516943094063644, 1e-300), 84, (40, 41, 3)),
+    ((2.0, 50.0, 2.0000000000000004), 46, (4, 37, 5)),
+    ((2.7617399612805915, 6.589560752288529, 2.761739961280592), 24, (6, 11, 7)),
+])
+def test_exact_pass_leaves_wires_far_from_the_cutoff(monkeypatch, lengths, budget, sides):
+    """Two lengths an ulp apart nearly tie beside a wire whose last and next
+    gains lie far from the cutoff (the 1e-300 wire's weight is 0.0): the
+    exact pass runs over all three and still returns the oracle's optimum."""
+    scaled = []
+    kernel = allocation._integer_lengths
+    monkeypatch.setattr(allocation, "_integer_lengths", lambda lengths: scaled.append(lengths) or kernel(lengths))
+    problem = AllocationProblem(lengths, budget)
+    fast = optimize_allocation(problem)
+    assert len(scaled) == 1
+    slow = enumerate_allocations(problem)
+    assert fast.sides == slow.sides == sides
+    assert fast.total_area.hex() == slow.total_area.hex()
 
 
 @st.composite
