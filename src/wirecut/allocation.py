@@ -48,8 +48,8 @@ from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
 from .geometry import (
-    _BITS, Shape, _check_count, _check_positive, _integer_lengths, _Record, _sequence, _unit_area_exact,
-    area, areas,
+    _BITS, Shape, _check_count, _check_positive, _integer_lengths, _Record, _sequence, _total_area,
+    _unit_area_exact, area, areas,
 )
 
 __all__ = [
@@ -115,12 +115,13 @@ class AllocationResult(_Record):
 
 
 def total_area_for_allocation(lengths, sides) -> float:
-    """Total enclosed area when wire i is bent into a regular sides[i]-gon."""
+    """Total enclosed area when wire i is bent into a regular sides[i]-gon.
+    Raises ValueError where it overflows a float."""
     lengths = _sequence(lengths, "lengths", "numbers")
     sides = _sequence(sides, "sides", "side counts")
     if len(lengths) != len(sides):
         raise ValueError("need exactly one side count per wire")
-    return math.fsum([area(Shape(n), x) for n, x in zip(sides, lengths)])
+    return _total_area([area(Shape(n), x) for n, x in zip(sides, lengths)])
 
 
 class _Table(dict):
@@ -168,7 +169,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     and of equal ones the smallest side sequence (see the module docstring).
 
     Raises ResourceLimitError when one wire could get more than SIDE_LIMIT
-    sides.
+    sides, and ValueError where the total area overflows a float.
     """
     lengths = problem.wire_lengths
     wires = len(lengths)
@@ -220,7 +221,7 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
         _exchange(sides, weights, _exact_gain, 0, nexts, lasts)
     per_wire = tuple(areas(map(_polygon.__getitem__, sides), lengths))
     terms = _scores(map(_angle.__getitem__, sides), lengths)
-    return AllocationResult(tuple(sides), per_wire, math.fsum(per_wire), tuple(map(sub, terms, terms[1:])))
+    return AllocationResult(tuple(sides), per_wire, _total_area(per_wire), tuple(map(sub, terms, terms[1:])))
 
 
 def _exchange(sides, weights, gain, left, nexts, lasts) -> tuple:

@@ -201,6 +201,15 @@ def _integer_lengths(lengths) -> list[int]:
     return [num * (scale // den) for num, den in ratios]
 
 
+def _total_area(areas) -> float:
+    """math.fsum of finite areas, their correctly rounded sum; ValueError
+    where it overflows a float though every area is finite."""
+    try:
+        return math.fsum(areas)
+    except OverflowError:
+        raise ValueError("total area overflows a float") from None
+
+
 def _check_positive(value, what, allow_zero=False):
     """Reject anything but a positive (with allow_zero, non-negative) finite
     int or float; bool and str are not numbers here, and an int too large

@@ -22,7 +22,7 @@ from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult
 from .errors import ResourceLimitError
 from .extrema import GRID_SAMPLE, PartitionProblem, PartitionResult
-from .geometry import Shape, _check_count, _integer_lengths, _Record, _unit_area_exact, area
+from .geometry import Shape, _check_count, _integer_lengths, _Record, _total_area, _unit_area_exact, area
 
 __all__ = [
     "GridSpec",
@@ -158,7 +158,8 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     geometry._unit_area_exact(n), so sums are exact in any order.
 
     Raises ResourceLimitError when the scan would visit more than 10**8
-    side tuples, or keep the areas of more than 10**5 counts per wire.
+    side tuples, or keep the areas of more than 10**5 counts per wire, and
+    ValueError where the total area overflows a float.
     """
     lengths = problem.wire_lengths
     wires = len(lengths)
@@ -184,4 +185,4 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
             best_sides, best_total = sides, total
     areas = tuple(area(Shape(n), x) for n, x in zip(best_sides, lengths))
     residuals = _allocation.stationarity_residual(lengths, best_sides)
-    return AllocationResult(best_sides, areas, math.fsum(areas), residuals)
+    return AllocationResult(best_sides, areas, _total_area(areas), residuals)

@@ -72,6 +72,19 @@ def test_total_area_validation():
             total_area_for_allocation(lengths, sides)
 
 
+def test_total_area_that_overflows_raises():
+    """Twenty-four triangles of wire 1.27e154: each area and stationarity
+    score is finite, but the areas' sum is not. Each entry point raises a
+    ValueError that names the overflow, not fsum's OverflowError."""
+    lengths = (1.27e154,) * 24
+    problem = AllocationProblem(lengths, 72)
+    for solve in (functools.partial(total_area_for_allocation, lengths, (3,) * 24),
+                  functools.partial(optimize_allocation, problem),
+                  functools.partial(enumerate_allocations, problem)):
+        with pytest.raises(ValueError, match="total area overflows a float"):
+            solve()
+
+
 def test_optimize_equal_wires_even_budget():
     result = optimize_allocation(AllocationProblem((1.0, 1.0), 8))
     assert result.sides == (4, 4)

@@ -269,6 +269,13 @@ def test_overflowing_allocation_exits_2(capsys, tmp_path):
     assert "overflows" in err
 
 
+def test_total_area_overflow_exits_2(capsys):
+    """Fourteen wires of length 1.3e154: every area is finite, their sum is not."""
+    code, out, err = run(capsys, "allocate", "--lengths", ",".join(["1.3e154"] * 14), "--budget", "140")
+    assert code == 2 and out == ""
+    assert "error: total area overflows a float" in err
+
+
 def test_json_output_rejects_nan(capsys):
     for argv in (
         ("bounds", "--length", "1e200", "--shapes", "3,4", "--area", "1e300", "--sense", "upper"),

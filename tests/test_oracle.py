@@ -238,26 +238,6 @@ def test_two_shape_blocks_keep_the_first_extremes(shapes, extremes):
 
 @pytest.mark.parametrize("shapes, resolution", [
     ((4, 3), 500),
-    ((3, 6, "circle"), 60),
-    ((5, 5, 5), 30),
-    ((3, 4, 6, 8, 12, "circle"), 12),
-])
-def test_scan_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution):
-    calls = []
-
-    def counted(shape, perimeter):
-        calls.append(shape)
-        return area(shape, perimeter)
-
-    monkeypatch.setattr(oracle, "area", counted)
-    problem = PartitionProblem(9.0, shapes)
-    grid_extremes(problem, GridSpec(resolution))
-    assert 0 < len(calls) <= len(shapes) * (resolution + 1)
-    assert set(calls) == {parse_shape(s) for s in shapes}
-
-
-@pytest.mark.parametrize("shapes, resolution", [
-    ((4, 3), 500),
     ((4, 3), 2500),
     ((3, 6, "circle"), 60),
     ((5, 5, 5), 30),
