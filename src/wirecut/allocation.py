@@ -209,12 +209,13 @@ def optimize_allocation(problem: AllocationProblem) -> AllocationResult:
     # length, their float gains order as their exact ones: bit-equal wires
     # gain bit-equal amounts at each count, and each wire's gains fall
     # strictly with the count. So the greedy's vector is the first exact
-    # optimum, and nothing is ranked exactly. Otherwise the exchange runs
-    # again from the greedy's vector on int gains X**2 * _exact_gain[m], X
-    # the wire's length scaled to an integer, whose products and comparisons
-    # are exact. A wire outside the band can neither give nor take a side.
+    # optimum, and nothing is ranked exactly.
     if worst_accepted <= ceiling and len({x for x, last, step in zip(lengths, lasts, nexts)
                                           if last <= ceiling or step >= floor}) > 1:
+        # Run the exchange again from the greedy's vector on int gains
+        # X**2 * _exact_gain[m], X the wire's length scaled to an integer,
+        # whose products and comparisons are exact. A wire outside the band
+        # can neither give nor take a side.
         weights = [x * x for x in _integer_lengths(lengths)]
         nexts = [w * _exact_gain[n] for w, n in zip(weights, sides)]
         lasts = [w * _exact_gain[n - 1] if n > 3 else inf for w, n in zip(weights, sides)]
