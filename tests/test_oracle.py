@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from operator import add
 
@@ -234,6 +235,28 @@ def test_two_shape_blocks_keep_the_first_extremes(shapes, extremes):
         assert lengths is None or result.lengths == lengths
     got = [(r.lengths, r.per_shape_areas, r.total_area) for r in both]
     assert got == [reference_scan(problem, resolution, want_max) for want_max in (False, True)]
+
+
+@pytest.mark.parametrize("shapes, resolution", [
+    ((4, 3), 500),
+    ((3, 6, "circle"), 60),
+    ((5, 5, 5), 30),
+    ((3, 4, 6, 8, 12, "circle"), 12),
+])
+def test_scan_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution):
+    # Repeated shapes share one table: each distinct shape costs at most one
+    # call per lattice step, whatever its multiplicity.
+    calls = []
+
+    def counted(shape, perimeter):
+        calls.append(shape)
+        return area(shape, perimeter)
+
+    monkeypatch.setattr(oracle, "area", counted)
+    grid_extremes(PartitionProblem(9.0, shapes), GridSpec(resolution))
+    per_shape = Counter(calls)
+    assert set(per_shape) == {parse_shape(s) for s in shapes}
+    assert max(per_shape.values()) <= resolution + 1
 
 
 @pytest.mark.parametrize("shapes, resolution", [
