@@ -28,7 +28,7 @@ take a side near the cutoff has one length, nothing needs it, and this is
 decided first: the float gains of bit-equal wires order as their exact
 ones (Yap 1997: decide the combinatorial outcome exactly, compute the
 values in floats). Reported areas are floats and the total is their
-correctly rounded sum (math.fsum; Shewchuk 1997). The continuous
+correctly rounded sum (geometry._total_area). The continuous
 first-order conditions have no closed form; they are kept only as
 residual diagnostics on the integer winner.
 
@@ -49,13 +49,12 @@ from operator import sub
 from .errors import InfeasibleBudgetError, ResourceLimitError
 from .geometry import (
     _BITS, Shape, _check_count, _check_positive, _integer_lengths, _Record, _sequence, _total_area,
-    _unit_area_exact, area, areas,
+    _unit_area_exact, areas,
 )
 
 __all__ = [
     "AllocationProblem",
     "AllocationResult",
-    "total_area_for_allocation",
     "optimize_allocation",
     "stationarity_term",
     "stationarity_residual",
@@ -112,16 +111,6 @@ class AllocationResult(_Record):
     def __init__(self, sides, per_wire_areas, total_area, residuals):
         self.__dict__.update(sides=sides, per_wire_areas=per_wire_areas,
                              total_area=total_area, residuals=residuals)
-
-
-def total_area_for_allocation(lengths, sides) -> float:
-    """Total enclosed area when wire i is bent into a regular sides[i]-gon.
-    Raises ValueError where it overflows a float."""
-    lengths = _sequence(lengths, "lengths", "numbers")
-    sides = _sequence(sides, "sides", "side counts")
-    if len(lengths) != len(sides):
-        raise ValueError("need exactly one side count per wire")
-    return _total_area([area(Shape(n), x) for n, x in zip(sides, lengths)])
 
 
 class _Table(dict):

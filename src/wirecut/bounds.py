@@ -14,15 +14,16 @@ far above the band, the unit is sqrt(A) instead, so that the ratio cannot
 overflow); the threshold band scales by L**2, and l_low/l_high are that
 band turned into lengths. So roots and intervals stay finite beyond
 L ~ 1e154, where L**2 overflows; only the band's areas can leave the float
-range. The sign regions are intersected with the feasible domain, which
-handles every threshold uniformly, including thresholds below the
-constrained minimum or above the domain supremum.
+range, and feasibility_range then raises ValueError. The sign regions are
+intersected with the feasible domain, which handles every threshold
+uniformly, including thresholds below the constrained minimum or above the
+domain supremum.
 """
 
 import math
 
 from .extrema import PartitionProblem
-from .geometry import _check_positive, _Record, sigma
+from .geometry import _check_positive, _Record, _total_area, sigma
 
 __all__ = [
     "IntervalSet",
@@ -129,8 +130,9 @@ def shared_perimeter_total(problem: PartitionProblem, x: float) -> float:
 def _line_totals(problem: PartitionProblem, xs) -> list[float]:
     """The direct total at each shared perimeter x of xs, as total_area
     gives it for lengths [x]*k + [L - k*x], bit for bit: each shape's
-    4*sigma is taken once, and each total adds the areas left to right.
-    Raises ValueError where L - k*x is negative beyond roundoff."""
+    4*sigma is taken once, and each total is geometry._total_area of the
+    areas. Raises ValueError where L - k*x is negative beyond roundoff or
+    a total overflows a float."""
     *shared, last = [4.0 * sigma(s) for s in problem.shapes]
     k = len(shared)
     length = problem.total_length
@@ -143,7 +145,7 @@ def _line_totals(problem: PartitionProblem, xs) -> list[float]:
             if rest <= -1e-9 * length:
                 _check_positive(rest, "perimeter", allow_zero=True)
             rest = 0.0
-        totals.append(sum([x * x / w for w in shared] + [rest * rest / last]))
+        totals.append(_total_area([x * x / w for w in shared] + [rest * rest / last]))
     return totals
 
 
@@ -174,11 +176,14 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
     that threshold stays inside the band (l_low <= L <= l_high exactly when
     a_low <= threshold <= a_high), and x_hat (two-shape problems only) is
     half the width of the roots' interval, None exactly when they are.
+    Raises ValueError where the band overflows a float.
     """
     length = problem.total_length
     sums = _sums(problem)
     _, a, _, high, disc = _line(length, sums)
     low = -disc / (4.0 * a)
+    # a_high is the total at x = 0 and a_low < a_high: the band fits a float where its top does.
+    a_high = _total_area((length * length * high,), "threshold band")
     l_low = l_high = x_hat = None
     if threshold is not None:
         _check_positive(threshold, "threshold")
@@ -189,7 +194,7 @@ def feasibility_range(problem: PartitionProblem, threshold: float | None = None)
             scale, a, _, _, disc = _line(length, sums, threshold)
             if disc >= 0.0:
                 x_hat = scale * math.sqrt(disc) / (2.0 * a)
-    return FeasibilityRange(length * length * low, length * length * high, l_low, l_high, x_hat)
+    return FeasibilityRange(length * length * low, a_high, l_low, l_high, x_hat)
 
 
 def solve_equal_perimeter(query: BoundQuery) -> IntervalSet:

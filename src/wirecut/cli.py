@@ -13,7 +13,9 @@ lays the inline flags over the --file object (or over {"mode": m}; verify
 keeps its file's own mode) and decodes it in `_decode`; the handler solves
 it and returns its payload (problems echoed through `_encode`) and exit
 code; `main` prints the payload through `_json` alone, or through the
-table alone once `_finite` finds no NaN or inf. Comma lists such as
+table alone. Every total a solver returns is finite (it raises ValueError
+where one overflows), so a table needs no check of its own; `_json` keeps
+json.dumps's refusal of NaN and inf. Comma lists such as
 --shapes 4,3 are flag syntax; in a file, shapes and lengths are JSON lists.
 The command table `_COMMANDS` gives each subcommand its mode, handler,
 table and extra flags; `build_parser` adds the mode's `_FIELDS` flags from it.
@@ -28,8 +30,7 @@ else (no arguments, -h, an unknown command) through the top-level parser
 and its messages.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a result
-that JSON cannot represent (NaN, inf), 3 infeasible side budget, 4 resource
-guard tripped.
+that overflows a float, 3 infeasible side budget, 4 resource guard tripped.
 """
 
 import argparse
@@ -146,7 +147,6 @@ def _problem(args):
     return _decode(data)
 
 
-_NOT_FINITE = "result is not a finite number (lengths or areas beyond the float range)"
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -155,7 +155,7 @@ def _json(value, indent: str = "\n") -> str:
     encoder indents only in pure Python. ValueError on NaN and inf, TypeError on other types."""
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(_NOT_FINITE)
+            raise ValueError("result is not a finite number (lengths or areas beyond the float range)")
         return float.__repr__(value)
     if isinstance(value, str):
         return _quote(value)
@@ -171,17 +171,6 @@ def _json(value, indent: str = "\n") -> str:
         items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _finite(container) -> None:
-    """ValueError if a dict, list or tuple holds NaN or inf at any depth: the
-    values _json refuses, so that a table fails wherever the JSON would."""
-    for item in container.values() if isinstance(container, dict) else container:
-        if isinstance(item, float):
-            if not math.isfinite(item):
-                raise ValueError(_NOT_FINITE)
-        elif isinstance(item, (dict, list, tuple)):
-            _finite(item)
 
 
 def _cmd_partition(args, problem):
@@ -343,7 +332,6 @@ def main(argv=None) -> int:
         if args.format == "json":
             print(_json({"command": args.command, **payload}))
         else:
-            _finite(payload)
             print("\n".join(_COMMANDS[args.command][2](**payload)))
         return code
     except (InfeasibleBudgetError, ResourceLimitError, ValueError) as exc:

@@ -10,7 +10,7 @@ diagnostics; they are minima of the restricted problem, not maxima.
 
 from operator import attrgetter
 
-from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, areas, parse_shape
+from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, _total_area, areas, parse_shape
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -67,25 +67,27 @@ class PartitionResult(_Record):
 
 def total_area(shapes, lengths) -> float:
     """Total area when lengths[i] is bent into shapes[i]; no sum constraint.
-    Shapes are read as PartitionProblem reads them."""
+    Shapes are read as PartitionProblem reads them; ValueError where the
+    total overflows a float."""
     shapes = tuple(map(parse_shape, _sequence(shapes, "shapes", "shapes")))
     lengths = _sequence(lengths, "lengths", "numbers")
     if len(shapes) != len(lengths):
         raise ValueError("need exactly one length per shape")
-    return sum(areas(shapes, lengths))
+    return _total_area(areas(shapes, lengths))
 
 
 def _split(kind, problem, weights, excluded_index=None) -> PartitionResult:
     """Each piece proportional to its weight, the pieces summing to L.
 
-    The areas come from geometry.areas in one call, with area's bits; a
-    piece that rounds up past the largest float, as w * L / sum(weights)
-    can for L within a few ulps of it, is refused as area refuses it.
+    The areas come from geometry.areas in one call, with area's bits, and
+    the total from geometry._total_area; a piece that rounds up past the
+    largest float, as w * L / sum(weights) can for L within a few ulps of
+    it, is refused as area refuses it.
     """
     scale = problem.total_length / sum(weights)
     lengths = [w * scale for w in weights]
     pieces = areas(problem.shapes, lengths)
-    return PartitionResult(kind, tuple(lengths), tuple(pieces), sum(pieces), excluded_index)
+    return PartitionResult(kind, tuple(lengths), tuple(pieces), _total_area(pieces), excluded_index)
 
 
 def minimize_partition(problem: PartitionProblem) -> PartitionResult:
@@ -137,7 +139,8 @@ def paper_face_max(problem: PartitionProblem) -> PartitionResult:
     S = sum(sigma), so the face pinning the heaviest shape wins; only faces
     whose weight ties the largest within rounding are scored. Ties go to the
     lowest excluded index among equal float totals, and where every total
-    overflows or underflows alike, to the heaviest shape's face.
+    underflows alike, to the heaviest shape's face; one that overflows
+    raises ValueError.
     """
     weights = [s._sigma for s in problem.shapes]
     top = max(weights)

@@ -19,6 +19,9 @@ evaluates the same expression in one list pass, and otherwise it calls
 ``area`` on each piece in turn, so it returns the same bits and raises the
 same errors. The closed-form solvers take their pieces' areas from it.
 
+``_total_area`` is the one rule for every total area: the correctly
+rounded sum of the pieces (math.fsum; Shewchuk 1997), finite or ValueError.
+
 ``_unit_area_exact`` gives the area of a unit-perimeter n-gon times
 2**_BITS as a plain int, from a fixed-point series (Brent 1976). The
 allocation optimizer rounds its float gains from these ints and ranks near
@@ -201,13 +204,17 @@ def _integer_lengths(lengths) -> list[int]:
     return [num * (scale // den) for num, den in ratios]
 
 
-def _total_area(areas) -> float:
-    """math.fsum of finite areas, their correctly rounded sum; ValueError
-    where it overflows a float though every area is finite."""
+def _total_area(areas, what="total area") -> float:
+    """math.fsum of the areas, their correctly rounded sum in any order and
+    on any Python; ValueError naming what where it overflows a float,
+    whether one area is infinite or only the sum of finite ones is."""
     try:
-        return math.fsum(areas)
-    except OverflowError:
-        raise ValueError("total area overflows a float") from None
+        total = math.fsum(areas)
+    except OverflowError:  # every area is finite, a partial sum is not
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(f"{what} overflows a float")
+    return total
 
 
 def _check_positive(value, what, allow_zero=False):

@@ -43,11 +43,12 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     default it follows the shape count. Other problems take no resolution
     and raise ValueError when given one. Raises ResourceLimitError where the
     oracle's scan would be too large, and ValueError, before comparing
-    anything, where the areas a check compares (a partition's check bounds,
-    a bound query's sampled totals, an allocation's best total) fall below
-    the smallest normal float, "areas underflow", where they round to zero
-    or lose digits, or are infinite, "areas overflow", where they compare
-    equal whatever their true values.
+    anything, where a total it reads overflows a float, as the solvers
+    raise it, or where the areas a check compares (a partition's check
+    bounds, a bound query's sampled totals, an allocation's best total)
+    fall below the smallest normal float, "areas underflow", where they
+    round to zero or lose digits, or are infinite, "areas overflow", where
+    they compare equal whatever their true values.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)

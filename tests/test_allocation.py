@@ -19,17 +19,22 @@ from hypothesis import strategies as st
 from wirecut import (
     AllocationProblem,
     InfeasibleBudgetError,
+    PartitionProblem,
     ResourceLimitError,
     Shape,
     allocation,
     area,
     cross_check,
     enumerate_allocations,
+    feasibility_range,
     geometry,
+    maximize_partition,
+    minimize_partition,
     optimize_allocation,
+    paper_face_max,
     stationarity_residual,
     stationarity_term,
-    total_area_for_allocation,
+    total_area,
 )
 
 # Few distinct lengths, two of them one ulp apart, so that exact and
@@ -38,30 +43,31 @@ LENGTH_POOL = (0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0)
 
 
 def test_total_area_two_squares():
-    assert total_area_for_allocation((1.0, 1.0), (4, 4)) == pytest.approx(0.125, rel=1e-12)
+    assert total_area((4, 4), (1.0, 1.0)) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_total_area_triangle_hexagon():
     expected = 1 / (12 * math.sqrt(3)) + math.sqrt(3) / 6
-    assert total_area_for_allocation((1.0, 2.0), (3, 6)) == pytest.approx(expected, rel=1e-12)
+    assert total_area((3, 6), (1.0, 2.0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_area_single_wire_matches_kernel():
     from wirecut import Shape, area
 
-    assert total_area_for_allocation((7.0,), (5,)) == pytest.approx(
+    assert total_area((5,), (7.0,)) == pytest.approx(
         area(Shape(5), 7.0), rel=1e-15
     )
 
 
 def test_total_area_validation():
     with pytest.raises(ValueError):
-        total_area_for_allocation((1.0, 1.0), (4,))
-    for bad in (4.0, True, 2, -1, [4]):
+        total_area((4,), (1.0, 1.0))
+    # 4.0 reads as a square, as in a problem file; 4.5 is no side count.
+    for bad in (4.5, True, 2, -1, [4]):
         with pytest.raises(ValueError):
-            total_area_for_allocation((1.0, 1.0), (4, bad))
+            total_area((4, bad), (1.0, 1.0))
     # A valid count past any a solve can use gives the kernel's area.
-    huge = total_area_for_allocation((1.0, 1.0), (4, 10**9))
+    huge = total_area((4, 10**9), (1.0, 1.0))
     assert huge == area(Shape(4), 1.0) + area(Shape(10**9), 1.0)
     # Text and bytes are not sequences of numbers: b"ab" would be lengths 97 and 98.
     # Sets and dicts have no written order, and a dict would give its keys.
@@ -69,19 +75,31 @@ def test_total_area_validation():
                            (bytearray(b"ab"), (3, 4)), ({2.0, 1.0}, (4, 3)),
                            (frozenset({2.0, 1.0}), (4, 3)), ((1.0, 2.0), {4: 0, 3: 0})):
         with pytest.raises(ValueError, match="must be a sequence of"):
-            total_area_for_allocation(lengths, sides)
+            total_area(sides, lengths)
 
 
 def test_total_area_that_overflows_raises():
-    """Twenty-four triangles of wire 1.27e154: each area and stationarity
-    score is finite, but the areas' sum is not. Each entry point raises a
-    ValueError that names the overflow, not fsum's OverflowError."""
+    """Every total is finite or a ValueError that names the field. Twenty-four
+    triangles of wire 1.27e154 have finite areas and stationarity scores,
+    but their sum is not finite (fsum raises OverflowError on it); a piece
+    of 5e154 or 1e200 has an infinite area; the threshold band of a wire of
+    1e200 lies past the float range, though its roots do not."""
     lengths = (1.27e154,) * 24
     problem = AllocationProblem(lengths, 72)
-    for solve in (functools.partial(total_area_for_allocation, lengths, (3,) * 24),
-                  functools.partial(optimize_allocation, problem),
-                  functools.partial(enumerate_allocations, problem)):
-        with pytest.raises(ValueError, match="total area overflows a float"):
+    huge = PartitionProblem(1e200, (3, 4))
+    total, band = "total area overflows a float", "threshold band overflows a float"
+    for solve, message in (
+        (functools.partial(total_area, (3,) * 24, lengths), total),
+        (functools.partial(optimize_allocation, problem), total),
+        (functools.partial(enumerate_allocations, problem), total),
+        (functools.partial(optimize_allocation, AllocationProblem((5e154, 1.0), 40)), total),
+        (functools.partial(total_area, (3, 4), (1e200, 1.0)), total),
+        (functools.partial(minimize_partition, huge), total),
+        (functools.partial(maximize_partition, huge), total),
+        (functools.partial(paper_face_max, huge), total),
+        (functools.partial(feasibility_range, huge, 1e300), band),
+    ):
+        with pytest.raises(ValueError, match=message):
             solve()
 
 
@@ -176,7 +194,7 @@ def test_equal_wires_take_the_first_tie_unscored():
     best_total, best = -math.inf, None
     for taker in range(17):
         sides = tuple(4 if i == taker else 3 for i in range(17))
-        total = total_area_for_allocation(lengths, sides)
+        total = total_area(sides, lengths)
         if total > best_total or (total == best_total and sides < best):
             best_total, best = total, sides
     result = optimize_allocation(AllocationProblem(lengths, 52))
@@ -209,18 +227,23 @@ def test_twenty_equal_wires_score_at_most_one_candidate(monkeypatch, size, extra
     budget = 3 * size + extra + 12 * len(beside)
     best_total, best = -math.inf, None
     for sides in grouped_ascending_vectors(lengths, budget):
-        total = total_area_for_allocation(lengths, sides)
+        total = total_area(sides, lengths)
         if total > best_total:
             best_total, best = total, sides
     assert best == (3,) * (size - extra) + (4,) * extra + (12,) * len(beside)
     refuse_the_band(monkeypatch)
-    calls = []
-    kernel = allocation.area
-    monkeypatch.setattr(allocation, "area", lambda *args: calls.append(args) or kernel(*args))
+    pieces = []
+
+    def counting(shapes, perimeters, kernel=allocation.areas):
+        found = kernel(shapes, perimeters)
+        pieces.extend(found)
+        return found
+
+    monkeypatch.setattr(allocation, "areas", counting)
     result = optimize_allocation(AllocationProblem(lengths, budget))
     assert result.sides == best and result.total_area == best_total
     assert list(result.sides[:size]) == sorted(result.sides[:size])
-    assert len(calls) <= 2 * len(lengths)
+    assert len(pieces) <= 2 * len(lengths)
 
 
 @pytest.mark.parametrize("lengths", [
@@ -241,7 +264,7 @@ def test_two_near_equal_groups_check_only_ascending_vectors(lengths):
     assert best == tuple(4 if x > 1.0 else 3 for x in lengths)
     result = optimize_allocation(AllocationProblem(lengths, 105))
     assert result.sides == best
-    assert result.total_area == total_area_for_allocation(lengths, best)
+    assert result.total_area == total_area(best, lengths)
 
 
 def refuse_the_band(monkeypatch):
@@ -268,7 +291,7 @@ def test_band_of_one_length_is_not_walked(monkeypatch, lengths, budget, sides):
     refuse_the_band(monkeypatch)
     result = optimize_allocation(AllocationProblem(lengths, budget))
     assert result.sides == sides
-    assert result.total_area == total_area_for_allocation(lengths, sides)
+    assert result.total_area == total_area(sides, lengths)
 
 
 @pytest.mark.parametrize("wires", [2, 3, 8, 20])
@@ -331,11 +354,11 @@ def test_one_equal_group_beside_others_equals_enumeration(problem):
 @settings(max_examples=200, deadline=None)
 def test_total_area_is_correctly_rounded_in_any_order(pairs, rng):
     lengths, sides = zip(*pairs)
-    total = total_area_for_allocation(lengths, sides)
+    total = total_area(sides, lengths)
     assert total.hex() == math.fsum(area(Shape(n), x) for x, n in pairs).hex()
     rng.shuffle(pairs)
     lengths, sides = zip(*pairs)
-    assert total_area_for_allocation(lengths, sides).hex() == total.hex()
+    assert total_area(sides, lengths).hex() == total.hex()
 
 
 def ulp_chain(base, size):
@@ -452,7 +475,7 @@ def test_near_tie_scoring_takes_each_area_once(monkeypatch):
         result = optimize_allocation(AllocationProblem(lengths, budget))
         assert result.sides == (3,) * (wires // 2) + (4,) * (wires // 2)
         assert sorted(fills) == [3, 4, 5]
-        assert result.total_area == total_area_for_allocation(lengths, result.sides)
+        assert result.total_area == total_area(result.sides, lengths)
         if wires == 20:
             assert result.total_area.hex() == "0x1.1b2b05cfc1564p+0"
 
@@ -606,14 +629,14 @@ def test_eight_wires_no_single_move_improves():
     for lengths in [(1.0,) * 8] + unequal:
         result = optimize_allocation(AllocationProblem(lengths, 60))
         assert sum(result.sides) == 60
-        assert result.total_area == total_area_for_allocation(lengths, result.sides)
+        assert result.total_area == total_area(result.sides, lengths)
         for donor, taker in itertools.permutations(range(8), 2):
             if result.sides[donor] == 3:
                 continue
             moved = list(result.sides)
             moved[donor] -= 1
             moved[taker] += 1
-            assert total_area_for_allocation(lengths, moved) <= result.total_area
+            assert total_area(moved, lengths) <= result.total_area
 
 
 def test_budget_monotonicity():
@@ -770,7 +793,7 @@ def test_result_is_bit_identical_to_public_kernels(problem):
     sides = result.sides
     for n, x, got in zip(sides, lengths, result.per_wire_areas):
         assert got.hex() == area(Shape(n), x).hex()
-    assert result.total_area.hex() == total_area_for_allocation(lengths, sides).hex()
+    assert result.total_area.hex() == total_area(sides, lengths).hex()
     expected = stationarity_residual(lengths, sides)
     assert [r.hex() for r in result.residuals] == [r.hex() for r in expected]
 
@@ -792,7 +815,7 @@ def test_total_area_checks_counts_the_table_holds(fresh_tables):
     optimize_allocation(AllocationProblem((1.0, 2.0), 20))
     held = {name: len(getattr(allocation, name)) for name in TABLES}
     assert held["_polygon"] > 0
-    total_area_for_allocation((1.0, 1.0), (4, 4))
+    total_area((4, 4), (1.0, 1.0))
     test_total_area_validation()
     assert {name: len(getattr(allocation, name)) for name in TABLES} == held
 

@@ -304,28 +304,37 @@ def scaled_queries(draw):
 
 
 def _bound_answers(problem, threshold, sense):
-    band = feasibility_range(problem, threshold)
+    """Intervals, roots and the band's (l_low, l_high, x_hat), or None in
+    their place where the band overflows a float and is refused."""
     intervals = solve_equal_perimeter(BoundQuery(problem, threshold, sense)).intervals
-    return intervals, threshold_roots(problem, threshold), band.l_low, band.l_high, band.x_hat
+    try:
+        band = feasibility_range(problem, threshold)
+        lengths = band.l_low, band.l_high, band.x_hat
+    except ValueError as exc:
+        assert str(exc) == "threshold band overflows a float"
+        lengths = None
+    return intervals, threshold_roots(problem, threshold), lengths
 
 
 @given(scaled_queries())
 @settings(max_examples=400, deadline=None)
 def test_power_of_two_scaling_is_exact(case):
     """The problem is covariant under x -> c*x, A -> c**2*A; for c a power of
-    two every length answer scales by exactly c."""
+    two every length answer scales by exactly c. The band's lengths come
+    with the band, which is refused exactly where L**2 times the band at
+    L = 1 overflows a float."""
     shapes, length, threshold, c, sense = case
     big_length, big_threshold = length * c, threshold * c * c
     assert _normal(big_length) and _normal(big_threshold) and _normal(big_threshold / big_length)
-    intervals, roots, l_low, l_high, x_hat = _bound_answers(
+    intervals, roots, (l_low, l_high, x_hat) = _bound_answers(
         PartitionProblem(length, shapes), threshold, sense
     )
+    unit_top = feasibility_range(PartitionProblem(1.0, shapes)).a_high
     expected = (
         tuple((lo * c, hi * c) for lo, hi in intervals),
         None if roots is None else (roots[0] * c, roots[1] * c),
-        l_low * c,
-        l_high * c,
-        None if x_hat is None else x_hat * c,
+        None if big_length * big_length * unit_top == math.inf
+        else (l_low * c, l_high * c, None if x_hat is None else x_hat * c),
     )
     assert _bound_answers(PartitionProblem(big_length, shapes), big_threshold, sense) == expected
 
@@ -335,8 +344,9 @@ def test_huge_length_keeps_roots_and_intervals_finite():
     assert threshold_roots(problem, 1e300) is None
     assert solve_equal_perimeter(BoundQuery(problem, 1e300, "lower")).intervals == ((0.0, 1e200),)
     assert solve_equal_perimeter(BoundQuery(problem, 1e300, "upper")).is_empty
-    band = feasibility_range(problem, 1e300)
-    assert math.isfinite(band.l_low) and math.isfinite(band.l_high)
+    # Only the band, about 6e398, leaves the float range.
+    with pytest.raises(ValueError, match="threshold band overflows a float"):
+        feasibility_range(problem, 1e300)
 
 
 def test_threshold_far_above_tiny_length_keeps_finite_roots():

@@ -270,36 +270,33 @@ def test_overflowing_allocation_exits_2(capsys, tmp_path):
 
 
 def test_total_area_overflow_exits_2(capsys):
-    """Fourteen wires of length 1.3e154: every area is finite, their sum is not."""
-    code, out, err = run(capsys, "allocate", "--lengths", ",".join(["1.3e154"] * 14), "--budget", "140")
-    assert code == 2 and out == ""
-    assert "error: total area overflows a float" in err
-
-
-def test_json_output_rejects_nan(capsys):
-    for argv in (
-        ("bounds", "--length", "1e200", "--shapes", "3,4", "--area", "1e300", "--sense", "upper"),
-        ("min", "--length", "1e200", "--shapes", "3,4"),
+    """A total or band past the float range exits 2 in either format, the
+    field named on stderr: fourteen wires of length 1.3e154, whose areas are
+    finite and their sum is not; a wire of 5e154, whose area is not; a
+    partition of 1e200; and its band at threshold 1e300."""
+    for argv, field in (
+        (("allocate", "--lengths", ",".join(["1.3e154"] * 14), "--budget", "140"), "total area"),
+        (("allocate", "--lengths", "5e154,1", "--budget", "40"), "total area"),
+        (("min", "--length", "1e200", "--shapes", "3,4"), "total area"),
+        (("bounds", "--length", "1e200", "--shapes", "3,4", "--area", "1e300", "--sense", "upper"),
+         "threshold band"),
     ):
         for output in ("table", "json"):
             code, out, err = run(capsys, *argv, "--format", output)
-            assert code == 2, (argv, output)
-            assert out == ""
-            assert "error: result is not a finite number" in err
-            assert "beyond the float range" in err
+            assert (code, out, err) == (2, "", f"error: {field} overflows a float\n"), (argv, output)
 
 
-def test_non_finite_field_no_table_prints_exits_2(capsys, monkeypatch):
-    """l_high is in the JSON payload but not in the table; both formats refuse it."""
+def test_json_output_rejects_nan(capsys, monkeypatch):
+    """A NaN in the payload, even in a field the table does not show, is
+    refused as json.dumps(allow_nan=False) refuses it."""
     real = cli.feasibility_range
     monkeypatch.setattr(cli, "feasibility_range",
-                        lambda *args: replace(real(*args), l_high=math.inf))
-    for output in ("table", "json"):
-        code, out, err = run(capsys, "bounds", "--length", "10", "--shapes", "4,3", "--area", "5",
-                             "--sense", "lower", "--format", output)
-        assert (code, out) == (2, ""), output
-        assert err == ("error: result is not a finite number "
-                       "(lengths or areas beyond the float range)\n")
+                        lambda *args: replace(real(*args), l_high=math.nan))
+    code, out, err = run(capsys, "bounds", "--length", "10", "--shapes", "4,3", "--area", "5",
+                         "--sense", "lower", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == ("error: result is not a finite number "
+                   "(lengths or areas beyond the float range)\n")
 
 
 # Payload-shaped values: str keys, lists, tuples, floats at the edges of the
@@ -322,12 +319,11 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
-    cli._finite([value])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((math.nan, math.inf, -math.inf)), st.data())
-def test_json_writer_and_table_check_refuse_non_finite_at_any_depth(bad, data):
+def test_json_writer_refuses_non_finite_at_any_depth(bad, data):
     value = bad
     for _ in range(data.draw(st.integers(1, 4))):
         siblings = data.draw(st.lists(JSON_VALUES, max_size=3))
@@ -338,8 +334,6 @@ def test_json_writer_and_table_check_refuse_non_finite_at_any_depth(bad, data):
         json.dumps(value, allow_nan=False)
     with pytest.raises(ValueError, match="result is not a finite number"):
         cli._json(value)
-    with pytest.raises(ValueError, match="result is not a finite number"):
-        cli._finite(value)
 
 
 def test_json_writer_refuses_other_types():
@@ -398,7 +392,7 @@ def test_verify_non_finite_lattice_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--file", str(problem_file), "--format", output)
         assert code == 2
         assert out == ""
-        assert "error: areas overflow: lengths beyond the float range" in err
+        assert "error: total area overflows a float" in err
 
 
 @pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-150])

@@ -185,10 +185,10 @@ def test_paper_face_max_scores_only_near_tied_faces(monkeypatch, shapes, scored)
     assert len(calls) == scored
 
 
-@pytest.mark.parametrize("length", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("length", [1e-200, 1.0, 1e150])
 def test_paper_face_max_pins_heaviest_shape_at_any_scale(length):
-    """At 1e-200 every face total is 0.0 and at 1e200 inf, yet the face
-    stays the one the weights pick at every representable scale."""
+    """At 1e-200 every face total is 0.0 and at 1e150 about 3.5e298, yet the
+    face stays the one the weights pick at every scale a float total holds."""
     assert paper_face_max(PartitionProblem(length, (4, "circle", 3))).excluded_index == 2
 
 
@@ -222,21 +222,22 @@ def test_split_areas_are_area_bit_for_bit(problem, data):
     ):
         expected = [area(s, x).hex() for s, x in zip(problem.shapes, result.lengths)]
         assert [a.hex() for a in result.per_shape_areas] == expected
-        assert result.total_area == sum(result.per_shape_areas)
+        assert result.total_area.hex() == math.fsum(result.per_shape_areas).hex()
+        assert result.total_area.hex() == total_area(problem.shapes, result.lengths).hex()
 
 
 def test_piece_past_the_largest_float_is_refused_as_area_refuses_it():
     """At L = the largest float, the 11-gon's face piece sigma * (L / sigma)
     rounds up to inf, which area refuses; other pieces stay finite and only
-    their areas overflow."""
+    their areas overflow, which the total refuses."""
     problem = PartitionProblem(sys.float_info.max, (3, 11))
     message = "perimeter must be a non-negative finite number, got inf"
     for solve in (lambda p: face_stationary(p, 0), paper_face_max):
         with pytest.raises(ValueError, match=message):
             solve(problem)
-    for result in (minimize_partition(problem), maximize_partition(problem)):
-        assert max(result.lengths) <= sys.float_info.max
-        assert result.total_area == math.inf
+    for solve in (minimize_partition, maximize_partition):
+        with pytest.raises(ValueError, match="total area overflows a float"):
+            solve(problem)
 
 
 def test_minimum_total_closed_form_identity():

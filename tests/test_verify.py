@@ -162,21 +162,21 @@ def test_overflowing_bound_query_raises(length, shapes, threshold, sense):
     last piece's perimeter squared overflows near x = 0, so the intervals
     would fail on infinite totals; at 1e160 every sampled total is inf and
     at 1.7e154 with three shapes some are, where the check would pass
-    whatever the intervals were."""
+    whatever the intervals were. The sampled totals refuse them."""
     query = BoundQuery(PartitionProblem(length, shapes), threshold, sense)
-    with pytest.raises(ValueError, match="areas overflow: lengths beyond the float range"):
+    with pytest.raises(ValueError, match="total area overflows a float"):
         cross_check(query)
 
 
 def test_overflowing_partition_raises_before_the_scan(monkeypatch):
-    """At L = 1e200 the maximum's area is inf, so the partition is refused
-    without scanning the lattice."""
+    """At L = 1e200 the extrema's totals overflow, so the partition is
+    refused without scanning the lattice."""
 
     def scan(problem, grid):
         raise AssertionError("the lattice was scanned")
 
     monkeypatch.setattr(verify, "grid_extremes", scan)
-    with pytest.raises(ValueError, match="areas overflow: lengths beyond the float range"):
+    with pytest.raises(ValueError, match="total area overflows a float"):
         cross_check(PartitionProblem(1e200, (3, 4)))
 
 
