@@ -7,16 +7,17 @@ the area kernel once per distinct shape and lattice step (at most
 k*(res+1) calls, not one per shape and sample) and adds each sample's
 areas left to right.
 A plain recursion over all parts but the last two hands the lattice to one
-keeper a run at a time; a two-shape lattice is one run, scored in blocks
-without tables, so memory stays flat. The allocation oracle enumerates
-side assignments with plain nested loops via itertools.product and ranks
-them by exact totals. Nothing here shares logic with the solvers beyond
-the area kernels themselves, so agreement is evidence.
+keeper a run at a time; a two-shape lattice is one run over its two
+tables. The allocation oracle enumerates side assignments with plain
+nested loops via itertools.product and ranks them by exact totals. Both
+refuse scans of more than _SAMPLE_LIMIT lattice samples or side tuples.
+Nothing here shares logic with the solvers beyond the area kernels
+themselves, so agreement is evidence.
 """
 
 import math
 from itertools import product, repeat
-from operator import add, mul, sub, truediv
+from operator import add
 
 from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult
@@ -32,13 +33,7 @@ __all__ = [
 
 # The lattice blows up combinatorially with the number of shapes.
 MAX_GRID_SHAPES = 6
-_SAMPLE_LIMIT = 10**8
-# Most side counts per wire whose exact areas the allocation scan keeps, as
-# one int each. It binds only at two wires: with three or more, 10**4
-# counts already make 10**8 tuples.
-_COUNT_LIMIT = 10**5
-# Samples of a two-shape lattice scored at a time.
-_BLOCK = 1024
+_SAMPLE_LIMIT = 10**5
 
 
 class GridSpec(_Record):
@@ -51,11 +46,6 @@ class GridSpec(_Record):
         if resolution < 2:
             raise ValueError(f"resolution must be at least 2, got {resolution}")
         object.__setattr__(self, "resolution", resolution)
-
-
-def _steps(length: float, resolution: int, counts):
-    """Piece lengths length*(c/resolution) for each c of counts, lazily."""
-    return map(mul, repeat(length), map(truediv, counts, repeat(resolution)))
 
 
 def _keep(found, where, totals):
@@ -94,7 +84,7 @@ def _scan(tables, prefix, left, heads, found):
 def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
     """[(total, counts, areas)] of the lattice's first minimum and first
     maximum, in that order, from one pass in lexicographic order. A
-    two-shape lattice is one run, scored in blocks of _BLOCK samples."""
+    two-shape lattice is one run, scored in one pass over its two tables."""
     shapes = problem.shapes
     parts = len(shapes)
     if parts > MAX_GRID_SHAPES:
@@ -108,21 +98,14 @@ def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
         )
     length = problem.total_length
     resolution = grid.resolution
-    found = [None, None]
-    if parts == 2:
-        first, second = shapes
-        for start in range(0, resolution + 1, _BLOCK):
-            counts = range(start, min(start + _BLOCK, resolution + 1))
-            firsts = list(map(area, repeat(first), _steps(length, resolution, counts)))
-            rests = map(sub, repeat(resolution), counts)
-            seconds = list(map(area, repeat(second), _steps(length, resolution, rests)))
-            _keep(found, (start, firsts, seconds), list(map(add, firsts, seconds)))
-        return [(total, (start + j, resolution - start - j), (firsts[j], seconds[j]))
-                for total, (start, firsts, seconds), j in found]
-    steps = list(_steps(length, resolution, range(resolution + 1)))
+    steps = [length * (c / resolution) for c in range(resolution + 1)]
     distinct = {s: list(map(area, repeat(s), steps)) for s in dict.fromkeys(shapes)}
     tables = [distinct[s] for s in shapes]
-    _scan(tables, 0, resolution, (), found)
+    found = [None, None]
+    if parts == 2:
+        _keep(found, (), list(map(add, tables[0], reversed(tables[1]))))
+    else:
+        _scan(tables, 0, resolution, (), found)
     extremes = []
     for total, heads, j in found:
         counts = heads + (j, resolution - sum(heads) - j)
@@ -157,9 +140,10 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     integer (geometry._integer_lengths) and U(n) the unit area
     geometry._unit_area_exact(n), so sums are exact in any order.
 
-    Raises ResourceLimitError when the scan would visit more than 10**8
-    side tuples, or keep the areas of more than 10**5 counts per wire, and
-    ValueError where the total area overflows a float.
+    Raises ResourceLimitError when the scan would visit more than 10**5
+    side tuples, before any exact area is taken, and ValueError where the
+    total area overflows a float. Two wires visit one tuple per count, so
+    the limit also bounds the exact areas kept per wire.
     """
     lengths = problem.wire_lengths
     wires = len(lengths)
@@ -168,10 +152,6 @@ def enumerate_allocations(problem: AllocationProblem) -> AllocationResult:
     tuples = len(head_range) ** (wires - 1)
     if tuples > _SAMPLE_LIMIT:
         raise ResourceLimitError(f"{tuples} side tuples exceed the scan limit of {_SAMPLE_LIMIT}")
-    if len(head_range) > _COUNT_LIMIT:
-        raise ResourceLimitError(
-            f"{len(head_range)} side counts per wire exceed the exact table limit of {_COUNT_LIMIT}"
-        )
     tables = [{n: x * x * _unit_area_exact(n) for n in range(3, head_range.stop)}
               for x in _integer_lengths(lengths)]
     best_sides, best_total = None, -1

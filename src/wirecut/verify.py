@@ -47,8 +47,7 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     raise it, or where the areas a check compares (a partition's check
     bounds, a bound query's sampled totals, an allocation's best total)
     fall below the smallest normal float, "areas underflow", where they
-    round to zero or lose digits, or are infinite, "areas overflow", where
-    they compare equal whatever their true values.
+    round to zero or lose digits.
     """
     if isinstance(problem, PartitionProblem):
         return _partition_checks(problem, resolution)
@@ -69,12 +68,9 @@ def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
 
 def _comparable(values):
     """Refuse areas that floats cannot compare: below the smallest normal
-    float they round to zero or lose digits, and an infinite one equals
-    every other whatever its true value."""
+    float they round to zero or lose digits."""
     if min(values) < sys.float_info.min:
         raise ValueError("areas underflow: lengths below the float range")
-    if max(values) > sys.float_info.max:
-        raise ValueError("areas overflow: lengths beyond the float range")
 
 
 def _partition_checks(problem, resolution):

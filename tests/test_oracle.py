@@ -95,7 +95,7 @@ def test_grid_max_pentagon_tie():
 
 def test_grid_max_finds_circle_vertex():
     problem = PartitionProblem(10, (4, 3, "circle"))
-    result = grid_extremes(problem, GridSpec(1000))[1]
+    result = grid_extremes(problem, GridSpec(400))[1]
     assert result.lengths == (0.0, 0.0, 10.0)
     assert result.total_area == pytest.approx(100 / (4 * math.pi), rel=1e-12)
 
@@ -150,21 +150,32 @@ def test_enumerate_guard_counts_visited_tuples():
 
 def test_enumerate_guard_counts_exact_areas(monkeypatch):
     """Two wires visit as many tuples as one wire has counts, so the tuple
-    limit alone would let the exact table grow to 10**8 ints; the count
     limit refuses the scan before any exact area is taken."""
 
     def refuse(n):
         raise AssertionError("an exact area was taken")
 
     monkeypatch.setattr(oracle, "_unit_area_exact", refuse)
-    with pytest.raises(ResourceLimitError, match="100001 side counts per wire exceed the exact table limit of 100000"):
+    with pytest.raises(ResourceLimitError, match="100001 side tuples exceed the scan limit of 100000"):
         enumerate_allocations(AllocationProblem((1.0, 2.0), 100_006))
     monkeypatch.undo()
-    # The limit is on the counts kept, 3 .. I - 3(k-1): 18 here at budget 23.
-    monkeypatch.setattr(oracle, "_COUNT_LIMIT", 18)
+    # The counts kept are 3 .. I - 3(k-1): 18 here at budget 23.
+    monkeypatch.setattr(oracle, "_SAMPLE_LIMIT", 18)
     assert enumerate_allocations(AllocationProblem((1.0, 2.0), 23)).sides == (9, 14)
-    with pytest.raises(ResourceLimitError, match="19 side counts per wire exceed the exact table limit of 18"):
+    monkeypatch.setattr(oracle, "_unit_area_exact", refuse)
+    with pytest.raises(ResourceLimitError, match="19 side tuples exceed the scan limit of 18"):
         enumerate_allocations(AllocationProblem((1.0, 2.0), 24))
+
+
+def test_one_limit_implies_the_count_limit(monkeypatch):
+    """Three wires with fewer than N counts each visit more than N tuples,
+    so a scan the tuple limit admits never keeps more than N counts a wire."""
+    monkeypatch.setattr(oracle, "_SAMPLE_LIMIT", 50)
+    # Budget 16 gives 8 counts per wire, 3 .. 10, and 8**2 = 64 tuples.
+    with pytest.raises(ResourceLimitError, match="64 side tuples exceed the scan limit of 50"):
+        enumerate_allocations(AllocationProblem((1.0, 1.5, 2.0), 16))
+    # Budget 15 gives 7 counts and 49 tuples.
+    assert sum(enumerate_allocations(AllocationProblem((1.0, 1.5, 2.0), 15)).sides) == 15
 
 
 def _lattice(total, parts):
@@ -222,14 +233,14 @@ def test_one_pass_takes_both_extremes(scan):
 
 
 @pytest.mark.parametrize("shapes, extremes", [
-    # Mirror samples tie exactly across blocks.
+    # Mirror samples tie exactly.
     ((5, 5), [(2.0, 2.0), (0.0, 4.0)]),
-    # The maximum is the last sample, alone in the last block.
+    # The maximum is the last sample.
     ((4, 3), [None, (4.0, 0.0)]),
 ])
 def test_two_shape_blocks_keep_the_first_extremes(shapes, extremes):
     problem = PartitionProblem(4.0, shapes)
-    resolution = 2 * oracle._BLOCK
+    resolution = 2048
     both = grid_extremes(problem, GridSpec(resolution))
     for result, lengths in zip(both, extremes):
         assert lengths is None or result.lengths == lengths
@@ -280,14 +291,18 @@ def test_one_pass_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolu
 
 
 def test_one_pass_streams_two_shapes():
+    """A two-shape scan keeps its tables and totals, three lists of
+    resolution + 1 floats: a few MB at the scan limit."""
     problem = PartitionProblem(12.0, (4, 3))
     tracemalloc.start()
     try:
-        grid_extremes(problem, GridSpec(200_000))
+        grid_extremes(problem, GridSpec(99_999))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 20_000_000
+    with pytest.raises(ResourceLimitError, match="200001 lattice samples exceed the scan limit of 100000"):
+        grid_extremes(problem, GridSpec(200_000))
 
 
 def test_one_pass_raises_where_either_extreme_is_not_finite():
