@@ -48,7 +48,7 @@ from operator import sub
 
 from .errors import InfeasibleBudgetError, ResourceLimitError
 from .geometry import (
-    _BITS, Shape, _check_count, _check_positive, _integer_lengths, _Record, _sequence, _total_area,
+    _BITS, Shape, _check_count, _check_positive, _integer_lengths, _Record, _sequence, _Table, _total_area,
     _unit_area_exact, areas,
 )
 
@@ -111,20 +111,6 @@ class AllocationResult(_Record):
     def __init__(self, sides, per_wire_areas, total_area, residuals):
         self.__dict__.update(sides=sides, per_wire_areas=per_wire_areas,
                              total_area=total_area, residuals=residuals)
-
-
-class _Table(dict):
-    """One value of a side count per entry, computed on the entry's first lookup."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, n):
-        self[n] = value = self.fill(n)
-        return value
 
 
 def _factor_at(alpha: float) -> float:

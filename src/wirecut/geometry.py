@@ -23,7 +23,8 @@ same errors. The closed-form solvers take their pieces' areas from it.
 rounded sum of the pieces (math.fsum; Shewchuk 1997), finite or ValueError.
 
 ``_unit_area_exact`` gives the area of a unit-perimeter n-gon times
-2**_BITS as a plain int, from a fixed-point series (Brent 1976). The
+2**_BITS as a plain int, from a fixed-point series (Brent 1976), kept per
+count in a ``_Table``, the memo of every per-count value. The
 allocation optimizer rounds its float gains from these ints and ranks near
 ties on them exactly, as does the oracle, each wire's areas weighed by the
 square of its length scaled to an integer (``_integer_lengths``).
@@ -165,35 +166,52 @@ def areas(shapes, perimeters) -> list[float]:
     return [p * p / (4.0 * s._sigma) for s, p in zip(shapes, perimeters)]
 
 
-# _unit_area_exact's values are unit areas times 2**_BITS. Its series run
+class _Table(dict):
+    """One value of a side count per entry, computed on the entry's first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, n):
+        self[n] = value = self.fill(n)
+        return value
+
+
+# Exact unit areas are ints scaled by 2**_BITS. _unit_area_series runs
 # with 32 guard bits, on pi * 2**(_BITS + 32) rounded to an int.
 _BITS = 224
 _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
-_exact_areas = {}
+
+
+def _unit_area_series(n: int) -> int:
+    """1/(4 n tan(pi/n)) times 2**_BITS as an int, from the Taylor series
+    of sin and cos of pi/n in fixed point. The terms are summed as
+    magnitudes of alternating sign, until the cos term floors to 0."""
+    point = _BITS + 32
+    x = _PI // n
+    square = x * x >> point
+    sin = odd = x
+    cos = even = 1 << point
+    j, sign = 1, -1
+    while even:
+        even = even * square // (j * (j + 1) << point)
+        odd = odd * square // ((j + 1) * (j + 2) << point)
+        cos += sign * even
+        sin += sign * odd
+        j, sign = j + 2, -sign
+    return (cos << _BITS) // (4 * n * sin)
+
+
+_exact_areas = _Table(_unit_area_series)
 
 
 def _unit_area_exact(n: int) -> int:
-    """1/(4 n tan(pi/n)), the area of a regular n-gon of unit perimeter,
-    times 2**_BITS as an int, from the Taylor series of sin and cos of pi/n
-    in fixed point. The terms are summed as magnitudes of alternating sign,
-    until the cos term floors to 0. Each count is computed on its first
-    call and kept."""
-    value = _exact_areas.get(n)
-    if value is None:
-        point = _BITS + 32
-        x = _PI // n
-        square = x * x >> point
-        sin = odd = x
-        cos = even = 1 << point
-        j, sign = 1, -1
-        while even:
-            even = even * square // (j * (j + 1) << point)
-            odd = odd * square // ((j + 1) * (j + 2) << point)
-            cos += sign * even
-            sin += sign * odd
-            j, sign = j + 2, -sign
-        _exact_areas[n] = value = (cos << _BITS) // (4 * n * sin)
-    return value
+    """The area of a regular n-gon of unit perimeter times 2**_BITS, as an
+    int: _unit_area_series(n), computed on the first lookup of n and kept."""
+    return _exact_areas[n]
 
 
 def _integer_lengths(lengths) -> list[int]:

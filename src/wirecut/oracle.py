@@ -2,7 +2,9 @@
 
 The partition oracles score every sample of a uniform lattice over the
 simplex of piece lengths, in lexicographic order, and grid_extremes keeps
-the first minimum and the first maximum from one pass. A pass evaluates
+the first minimum and the first maximum from one pass. The resolution, an
+int of at least 2, is the number of lattice steps along each simplex edge,
+as cross_check and the CLI's --resolution take it. A pass evaluates
 the area kernel once per distinct shape and lattice step (at most
 k*(res+1) calls, not one per shape and sample) and adds each sample's
 areas left to right.
@@ -23,10 +25,9 @@ from . import allocation as _allocation
 from .allocation import AllocationProblem, AllocationResult
 from .errors import ResourceLimitError
 from .extrema import GRID_SAMPLE, PartitionProblem, PartitionResult
-from .geometry import Shape, _check_count, _integer_lengths, _Record, _total_area, _unit_area_exact, area
+from .geometry import Shape, _check_count, _integer_lengths, _total_area, _unit_area_exact, area
 
 __all__ = [
-    "GridSpec",
     "grid_extremes",
     "enumerate_allocations",
 ]
@@ -36,16 +37,11 @@ MAX_GRID_SHAPES = 6
 _SAMPLE_LIMIT = 10**5
 
 
-class GridSpec(_Record):
-    """Number of lattice steps along each simplex edge."""
-
-    resolution: int
-
-    def __init__(self, resolution):
-        _check_count(resolution, "resolution")
-        if resolution < 2:
-            raise ValueError(f"resolution must be at least 2, got {resolution}")
-        object.__setattr__(self, "resolution", resolution)
+def _check_resolution(resolution):
+    """Refuse a resolution that is not an int a float can hold, or is below 2."""
+    _check_count(resolution, "resolution")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
 
 
 def _keep(found, where, totals):
@@ -81,23 +77,31 @@ def _scan(tables, prefix, left, heads, found):
         _keep(found, heads + (c,), totals)
 
 
-def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
-    """[(total, counts, areas)] of the lattice's first minimum and first
-    maximum, in that order, from one pass in lexicographic order. A
-    two-shape lattice is one run, scored in one pass over its two tables."""
+def grid_extremes(
+    problem: PartitionProblem, resolution: int
+) -> tuple[PartitionResult, PartitionResult]:
+    """The lattice's first minimum and first maximum, from one scan: an
+    upper bound on the true minimum and a lower bound on the true maximum.
+    A two-shape lattice is one run, scored in one pass over its two tables.
+
+    Raises ValueError where the resolution is not an int of at least 2 or
+    either extreme's total is not finite, and ResourceLimitError where the
+    problem has more than MAX_GRID_SHAPES shapes or the scan would take
+    more than _SAMPLE_LIMIT samples.
+    """
+    _check_resolution(resolution)
     shapes = problem.shapes
     parts = len(shapes)
     if parts > MAX_GRID_SHAPES:
         raise ResourceLimitError(
             f"grid scan supports at most {MAX_GRID_SHAPES} shapes, got {parts}"
         )
-    samples = math.comb(grid.resolution + parts - 1, parts - 1)
+    samples = math.comb(resolution + parts - 1, parts - 1)
     if samples > _SAMPLE_LIMIT:
         raise ResourceLimitError(
             f"{samples} lattice samples exceed the scan limit of {_SAMPLE_LIMIT}"
         )
     length = problem.total_length
-    resolution = grid.resolution
     steps = [length * (c / resolution) for c in range(resolution + 1)]
     distinct = {s: list(map(area, repeat(s), steps)) for s in dict.fromkeys(shapes)}
     tables = [distinct[s] for s in shapes]
@@ -106,27 +110,13 @@ def _extremes(problem: PartitionProblem, grid: GridSpec) -> list:
         _keep(found, (), list(map(add, tables[0], reversed(tables[1]))))
     else:
         _scan(tables, 0, resolution, (), found)
-    extremes = []
-    for total, heads, j in found:
-        counts = heads + (j, resolution - sum(heads) - j)
-        extremes.append((total, counts, tuple(table[c] for table, c in zip(tables, counts))))
-    return extremes
-
-
-def grid_extremes(
-    problem: PartitionProblem, grid: GridSpec
-) -> tuple[PartitionResult, PartitionResult]:
-    """The lattice's first minimum and first maximum, from one scan: an
-    upper bound on the true minimum and a lower bound on the true maximum.
-
-    Raises ValueError where either extreme's total is not finite.
-    """
     results = []
-    for total, counts, areas in _extremes(problem, grid):
+    for total, heads, j in found:
         if not math.isfinite(total):
             raise ValueError("lattice totals are not finite (lengths beyond the float range)")
-        lengths = tuple(problem.total_length * (c / grid.resolution) for c in counts)
-        results.append(PartitionResult(GRID_SAMPLE, lengths, areas, total))
+        counts = heads + (j, resolution - sum(heads) - j)
+        results.append(PartitionResult(GRID_SAMPLE, tuple(map(steps.__getitem__, counts)),
+                                       tuple(table[c] for table, c in zip(tables, counts)), total))
     return tuple(results)
 
 

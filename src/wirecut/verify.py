@@ -14,7 +14,7 @@ from .allocation import AllocationProblem, optimize_allocation
 from .bounds import BoundQuery, _line_totals, solve_equal_perimeter
 from .extrema import PartitionProblem, maximize_partition, minimize_partition
 from .geometry import _Record, sigma
-from .oracle import GridSpec, enumerate_allocations, grid_extremes
+from .oracle import _check_resolution, enumerate_allocations, grid_extremes
 
 __all__ = ["Check", "cross_check"]
 
@@ -39,10 +39,12 @@ class Check(_Record):
 def cross_check(problem, resolution: int | None = None) -> tuple[Check, ...]:
     """Check the solvers' answers to one problem against the oracle.
 
-    resolution sets the lattice steps of a partition scan (at least 2); by
-    default it follows the shape count. Other problems take no resolution
-    and raise ValueError when given one. Raises ResourceLimitError where the
-    oracle's scan would be too large, and ValueError, before comparing
+    resolution, an int of at least 2, sets the lattice steps of a partition
+    scan, as grid_extremes takes it; by default it follows the shape count.
+    A bad resolution raises ValueError before any solver runs. Other
+    problems take no resolution and raise ValueError when given one. Raises
+    ResourceLimitError where the oracle's scan would be too large (more
+    than six shapes or 10**5 samples), and ValueError, before comparing
     anything, where a total it reads overflows a float, as the solvers
     raise it, or where the areas a check compares (a partition's check
     bounds, a bound query's sampled totals, an allocation's best total)
@@ -76,14 +78,15 @@ def _comparable(values):
 def _partition_checks(problem, resolution):
     if resolution is None:
         resolution = _RESOLUTIONS.get(len(problem.shapes), 12)
-    grid = GridSpec(resolution)
+    # The bound divides by the resolution, so it is checked before the scan checks it.
+    _check_resolution(resolution)
     step = problem.total_length / resolution
     min_bound = step * step * sum(1.0 / (4.0 * sigma(s)) for s in problem.shapes)
     closed_min = minimize_partition(problem)
     closed_max = maximize_partition(problem)
     max_bound = 1e-9 * closed_max.total_area
     _comparable((min_bound, max_bound))
-    sampled_min, sampled_max = grid_extremes(problem, grid)
+    sampled_min, sampled_max = grid_extremes(problem, resolution)
     min_gap = sampled_min.total_area - closed_min.total_area
     max_gap = abs(closed_max.total_area - sampled_max.total_area)
     slack = 1e-9 * closed_min.total_area

@@ -14,7 +14,6 @@ from wirecut import (
     CIRCLE,
     AllocationProblem,
     BoundQuery,
-    GridSpec,
     PartitionProblem,
     Shape,
     area,
@@ -101,7 +100,7 @@ def test_ac3_three_shape_golden_set_with_corrected_maximum():
     assert face.total_area == pytest.approx(3.5007, **GOLDEN)
     high = maximize_partition(problem)
     assert high.total_area == pytest.approx(7.9577, **GOLDEN)
-    sampled = grid_extremes(problem, GridSpec(200))[1]
+    sampled = grid_extremes(problem, 200)[1]
     assert sampled.total_area == pytest.approx(high.total_area, rel=1e-9)
     assert sampled.total_area > face.total_area
     report("AC3 square+triangle+circle golden set (L=10), corrected maximum")
@@ -137,9 +136,8 @@ def test_ac5_oracle_equivalence_randomized():
     for _ in range(200):
         problem = random_problem(rng)
         resolution = GRID_RESOLUTION[len(problem.shapes)]
-        grid = GridSpec(resolution)
         low = minimize_partition(problem)
-        sampled_low, sampled_high = grid_extremes(problem, grid)
+        sampled_low, sampled_high = grid_extremes(problem, resolution)
         slack = 1e-12 * low.total_area
         gap = sampled_low.total_area - low.total_area
         assert gap >= -slack

@@ -462,14 +462,14 @@ def test_near_tie_scoring_takes_each_area_once(monkeypatch):
     the exact kernel at most once per count, and only for the counts its
     wires' last and next gains read, whatever the number of near ties."""
 
-    class Fills(dict):
+    class Fills(geometry._Table):
         def __setitem__(self, n, value):
             fills.append(n)
             super().__setitem__(n, value)
 
     for wires, budget in ((20, 70), (30, 105)):
         fills = []
-        monkeypatch.setattr(geometry, "_exact_areas", Fills())
+        monkeypatch.setattr(geometry, "_exact_areas", Fills(geometry._unit_area_series))
         allocation._exact_gain.clear()
         lengths = ulp_chain(1.0, wires)
         result = optimize_allocation(AllocationProblem(lengths, budget))
@@ -892,7 +892,7 @@ def test_exact_exchange_reads_a_few_areas_per_wire(monkeypatch, lengths, budget,
     from the greedy's vector, so it reads a few exact areas per wire, those
     of its last and next gains, beside those the float pass rounds its
     gains from."""
-    monkeypatch.setattr(geometry, "_exact_areas", {})
+    monkeypatch.setattr(geometry, "_exact_areas", geometry._Table(geometry._unit_area_series))
     allocation._exact_gain.clear()
     assert optimize_allocation(AllocationProblem(lengths, budget)).sides == sides
     assert 0 < len(geometry._exact_areas) <= 4 * len(lengths)

@@ -209,6 +209,16 @@ def test_resource_guard_exits_4(capsys):
     assert "limit" in err
 
 
+def test_verify_seven_shapes_exits_4(capsys, tmp_path):
+    problem_file = tmp_path / "seven.json"
+    problem_file.write_text(json.dumps({"mode": "partition", "length": 10, "shapes": [3] * 7}))
+    for output in ("table", "json"):
+        code, out, err = run(capsys, "verify", "--file", str(problem_file), "--format", output)
+        assert code == 4
+        assert out == ""
+        assert "at most 6 shapes" in err
+
+
 def test_json_booleans_exit_2(capsys, tmp_path):
     problem_file = tmp_path / "p.json"
     for data, command in (

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from wirecut import (
     AllocationProblem,
-    GridSpec,
     PartitionProblem,
     ResourceLimitError,
     enumerate_allocations,
@@ -33,27 +32,32 @@ def lattice_error_bound(problem, resolution):
     return step * step * sum(1.0 / (4.0 * sigma(s)) for s in problem.shapes)
 
 
-def test_grid_spec_validation():
-    for bad in (1, 0, -2, 2.5, True, 10**400):
-        with pytest.raises(ValueError):
-            GridSpec(bad)
+def test_grid_extremes_refuses_bad_resolutions():
+    # The resolution is checked first, also where the shapes are too many to scan.
+    for problem in (PartitionProblem(12, (4, 3)), PartitionProblem(12, (3,) * 7)):
+        for bad in (1, 0, -2):
+            with pytest.raises(ValueError, match=f"^resolution must be at least 2, got {bad}$"):
+                grid_extremes(problem, bad)
+        for bad in (2.5, True, 10**400, "12"):
+            with pytest.raises(ValueError, match="^resolution must be an integer a float can hold, got "):
+                grid_extremes(problem, bad)
 
 
 def test_grid_rejects_many_shapes():
     problem = PartitionProblem(10, (3,) * 7)
     with pytest.raises(ResourceLimitError):
-        grid_extremes(problem, GridSpec(4))
+        grid_extremes(problem, 4)
 
 
 def test_grid_rejects_huge_sample_count():
     problem = PartitionProblem(10, (3, 4, 5, 6, 7, 8))
     with pytest.raises(ResourceLimitError):
-        grid_extremes(problem, GridSpec(10**4))
+        grid_extremes(problem, 10**4)
 
 
 def test_grid_min_two_shapes_close_to_closed_form():
     problem = PartitionProblem(12, (4, 3))
-    result = grid_extremes(problem, GridSpec(10**4))[0]
+    result = grid_extremes(problem, 10**4)[0]
     closed = minimize_partition(problem)
     assert result.total_area >= closed.total_area
     assert result.total_area - closed.total_area <= 1e-4
@@ -62,8 +66,8 @@ def test_grid_min_two_shapes_close_to_closed_form():
 def test_grid_min_error_shrinks_quadratically():
     problem = PartitionProblem(7.0, (5, "circle"))
     closed = minimize_partition(problem).total_area
-    gap_coarse = grid_extremes(problem, GridSpec(100))[0].total_area - closed
-    gap_fine = grid_extremes(problem, GridSpec(1000))[0].total_area - closed
+    gap_coarse = grid_extremes(problem, 100)[0].total_area - closed
+    gap_fine = grid_extremes(problem, 1000)[0].total_area - closed
     assert 0 <= gap_fine <= gap_coarse
     assert gap_fine <= lattice_error_bound(problem, 1000)
     assert gap_coarse <= lattice_error_bound(problem, 100)
@@ -71,10 +75,10 @@ def test_grid_min_error_shrinks_quadratically():
 
 def test_grid_min_identical_shapes_centers():
     problem = PartitionProblem(10, (4, 4))
-    result = grid_extremes(problem, GridSpec(100))[0]
+    result = grid_extremes(problem, 100)[0]
     assert result.lengths == pytest.approx((5.0, 5.0), rel=1e-12)
     pair = PartitionProblem(10, ("circle", "circle"))
-    result = grid_extremes(pair, GridSpec(101))[0]
+    result = grid_extremes(pair, 101)[0]
     # odd resolution: the two samples astride the center tie; either is fine
     assert result.lengths[0] == pytest.approx(5.0, abs=10 / 101)
     assert result.total_area == pytest.approx(minimize_partition(pair).total_area, rel=1e-3)
@@ -82,20 +86,20 @@ def test_grid_min_identical_shapes_centers():
 
 def test_grid_max_two_shapes_at_endpoint():
     problem = PartitionProblem(12, (4, 3))
-    result = grid_extremes(problem, GridSpec(500))[1]
+    result = grid_extremes(problem, 500)[1]
     assert result.lengths in ((12.0, 0.0), (0.0, 12.0))
     assert result.total_area == pytest.approx(9.0, rel=1e-12)
 
 
 def test_grid_max_pentagon_tie():
     problem = PartitionProblem(4.0, (5, 5))
-    result = grid_extremes(problem, GridSpec(250))[1]
+    result = grid_extremes(problem, 250)[1]
     assert sorted(result.lengths) == pytest.approx([0.0, 4.0], abs=1e-12)
 
 
 def test_grid_max_finds_circle_vertex():
     problem = PartitionProblem(10, (4, 3, "circle"))
-    result = grid_extremes(problem, GridSpec(400))[1]
+    result = grid_extremes(problem, 400)[1]
     assert result.lengths == (0.0, 0.0, 10.0)
     assert result.total_area == pytest.approx(100 / (4 * math.pi), rel=1e-12)
 
@@ -106,14 +110,14 @@ def test_grid_max_below_isoperimetric_ceiling():
         count = rng.randint(2, 4)
         shapes = tuple(rng.choice(SHAPE_POOL) for _ in range(count))
         problem = PartitionProblem(rng.uniform(1.0, 50.0), shapes)
-        result = grid_extremes(problem, GridSpec(40))[1]
+        result = grid_extremes(problem, 40)[1]
         ceiling = problem.total_length ** 2 / (4 * math.pi)
         assert result.total_area <= ceiling * (1 + 1e-12)
 
 
 def test_grid_results_are_consistent_samples():
     problem = PartitionProblem(9.0, (3, 6, "circle"))
-    for result in grid_extremes(problem, GridSpec(60)):
+    for result in grid_extremes(problem, 60):
         assert result.kind == "grid-sample"
         assert sum(result.lengths) == pytest.approx(9.0, rel=1e-9)
         assert sum(result.per_shape_areas) == pytest.approx(result.total_area, rel=1e-12)
@@ -226,7 +230,7 @@ def lattice_scans(draw):
 @settings(max_examples=150, deadline=None)
 def test_one_pass_takes_both_extremes(scan):
     problem, resolution = scan
-    both = grid_extremes(problem, GridSpec(resolution))
+    both = grid_extremes(problem, resolution)
     got = [(r.lengths, r.per_shape_areas, r.total_area) for r in both]
     expected = [reference_scan(problem, resolution, want_max) for want_max in (False, True)]
     assert repr(got) == repr(expected)
@@ -238,10 +242,10 @@ def test_one_pass_takes_both_extremes(scan):
     # The maximum is the last sample.
     ((4, 3), [None, (4.0, 0.0)]),
 ])
-def test_two_shape_blocks_keep_the_first_extremes(shapes, extremes):
+def test_two_shape_scan_keeps_the_first_extremes(shapes, extremes):
     problem = PartitionProblem(4.0, shapes)
     resolution = 2048
-    both = grid_extremes(problem, GridSpec(resolution))
+    both = grid_extremes(problem, resolution)
     for result, lengths in zip(both, extremes):
         assert lengths is None or result.lengths == lengths
     got = [(r.lengths, r.per_shape_areas, r.total_area) for r in both]
@@ -264,7 +268,7 @@ def test_scan_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolution
         return area(shape, perimeter)
 
     monkeypatch.setattr(oracle, "area", counted)
-    grid_extremes(PartitionProblem(9.0, shapes), GridSpec(resolution))
+    grid_extremes(PartitionProblem(9.0, shapes), resolution)
     per_shape = Counter(calls)
     assert set(per_shape) == {parse_shape(s) for s in shapes}
     assert max(per_shape.values()) <= resolution + 1
@@ -285,24 +289,24 @@ def test_one_pass_calls_area_once_per_shape_and_step(monkeypatch, shapes, resolu
         return area(shape, perimeter)
 
     monkeypatch.setattr(oracle, "area", counted)
-    grid_extremes(PartitionProblem(9.0, shapes), GridSpec(resolution))
+    grid_extremes(PartitionProblem(9.0, shapes), resolution)
     assert 0 < len(calls) <= len(shapes) * (resolution + 1)
     assert set(calls) == {parse_shape(s) for s in shapes}
 
 
-def test_one_pass_streams_two_shapes():
+def test_two_shape_scan_memory_at_the_limit():
     """A two-shape scan keeps its tables and totals, three lists of
     resolution + 1 floats: a few MB at the scan limit."""
     problem = PartitionProblem(12.0, (4, 3))
     tracemalloc.start()
     try:
-        grid_extremes(problem, GridSpec(99_999))
+        grid_extremes(problem, 99_999)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20_000_000
     with pytest.raises(ResourceLimitError, match="200001 lattice samples exceed the scan limit of 100000"):
-        grid_extremes(problem, GridSpec(200_000))
+        grid_extremes(problem, 200_000)
 
 
 def test_one_pass_raises_where_either_extreme_is_not_finite():
@@ -310,4 +314,4 @@ def test_one_pass_raises_where_either_extreme_is_not_finite():
     for problem in (PartitionProblem(1e200, (3, 4)), PartitionProblem(1e200, (3, 4, 5)),
                     PartitionProblem(1.5e154, (3, 4, 5))):
         with pytest.raises(ValueError, match="lattice totals are not finite"):
-            grid_extremes(problem, GridSpec(4))
+            grid_extremes(problem, 4)

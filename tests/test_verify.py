@@ -14,6 +14,7 @@ from wirecut import (
     BoundQuery,
     Check,
     PartitionProblem,
+    ResourceLimitError,
     cross_check,
     maximize_partition,
     minimize_partition,
@@ -111,6 +112,26 @@ def test_resolution_rejected_for_non_partition_problems(name):
         cross_check(problem, resolution=3)
 
 
+@pytest.mark.parametrize("resolution", [0, 1, -2, 2.5, True, 10**400, "12"],
+                         ids=["0", "1", "-2", "2.5", "True", "10**400", "'12'"])
+def test_bad_resolution_raises_before_any_solver(monkeypatch, resolution):
+    """The check bound divides by the resolution, so a bad one is refused,
+    with ValueError and not ZeroDivisionError, before anything is solved."""
+
+    def solve(problem):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(verify, "minimize_partition", solve)
+    with pytest.raises(ValueError, match="^resolution must be "):
+        cross_check(PartitionProblem(12, (4, 3)), resolution=resolution)
+
+
+def test_seven_shapes_exceed_the_oracle_at_the_default_resolution():
+    # Seven shapes have no default of their own; the oracle, not the lookup, refuses them.
+    with pytest.raises(ResourceLimitError, match="^grid scan supports at most 6 shapes, got 7$"):
+        cross_check(PartitionProblem(10, (3,) * 7))
+
+
 @pytest.mark.parametrize("length", [1e-200, 1e-160, 1e-150])
 def test_underflowing_partition_raises(length):
     """Every area rounds to zero or below the normal range, so the checks
@@ -172,7 +193,7 @@ def test_overflowing_partition_raises_before_the_scan(monkeypatch):
     """At L = 1e200 the extrema's totals overflow, so the partition is
     refused without scanning the lattice."""
 
-    def scan(problem, grid):
+    def scan(problem, resolution):
         raise AssertionError("the lattice was scanned")
 
     monkeypatch.setattr(verify, "grid_extremes", scan)
