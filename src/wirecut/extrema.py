@@ -6,11 +6,12 @@ of the piece lengths, so over the simplex {sum = L, all >= 0} it has a
 unique interior minimum in closed form and attains its maximum at a vertex.
 Boundary stationary points (one piece pinned to zero) are exposed as
 diagnostics; they are minima of the restricted problem, not maxima.
+
+sigma(n) = n * tan(pi/n) falls strictly with n towards the circle's pi, so
+the side counts choose the maximum's vertex and paper_face_max's face exactly.
 """
 
-from operator import attrgetter
-
-from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, _total_area, areas, parse_shape
+from .geometry import Shape, _check_count, _check_positive, _Record, _sequence, _total_area, area, areas, parse_shape
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -103,14 +104,18 @@ def maximize_partition(problem: PartitionProblem) -> PartitionResult:
     """Global maximum: the whole wire goes to the best single shape.
 
     The total is strictly convex, so its maximum over the simplex sits at a
-    vertex; the best vertex is the shape of smallest sigma (largest area at
-    full length). Ties go to the lowest index.
+    vertex: the shape of smallest sigma, which is the first circle if there
+    is one, else the first shape of largest side count. The result has the
+    bits, and the overflow ValueError, of _split on that one-hot vertex.
     """
-    weights = [s._sigma for s in problem.shapes]
-    best = min(range(len(weights)), key=weights.__getitem__)
-    vertex = [0.0] * len(weights)
-    vertex[best] = 1.0
-    return _split(VERTEX_MAXIMUM, problem, vertex)
+    shapes = problem.shapes
+    sides = [s.sides for s in shapes]
+    best = sides.index(None) if None in sides else sides.index(max(sides))
+    lengths = [0.0] * len(sides)
+    lengths[best] = problem.total_length
+    pieces = [0.0] * len(sides)
+    pieces[best] = area(shapes[best], problem.total_length)
+    return PartitionResult(VERTEX_MAXIMUM, tuple(lengths), tuple(pieces), _total_area(pieces))
 
 
 def face_stationary(problem: PartitionProblem, excluded_index: int) -> PartitionResult:
@@ -136,18 +141,10 @@ def paper_face_max(problem: PartitionProblem) -> PartitionResult:
     Kept as a boundary diagnostic: every face point is dominated by the
     vertex maximum, so this is a lower bound on maximize_partition, not the
     maximum itself. Pinning piece b leaves the total L**2 / (4 * (S - sigma_b)),
-    S = sum(sigma), so the face pinning the heaviest shape wins; only faces
-    whose weight ties the largest within rounding are scored. Ties go to the
-    lowest excluded index among equal float totals, and where every total
-    underflows alike, to the heaviest shape's face; one that overflows
-    raises ValueError.
+    S = sum(sigma), so the face pinning the heaviest shape wins: the first
+    shape of smallest side count, or piece 0 where every shape is a circle,
+    at every scale. A total that overflows raises ValueError.
     """
-    weights = [s._sigma for s in problem.shapes]
-    top = max(weights)
-    # Exact face totals rank as the weights do, by 1 + (top - w) / (S - top).
-    # A float total is a sum of k weights, a scale, k products, k areas and a
-    # sum of k areas, so it is off by under (3k + 4) units of 2**-53; faces
-    # whose weights differ by more than twice that times S cannot swap order.
-    tol = (4 * len(weights) + 8) * 2.0**-52 * sum(weights)
-    faces = (face_stationary(problem, b) for b, w in enumerate(weights) if w >= top - tol)
-    return max(faces, key=attrgetter("total_area"))
+    sides = [s.sides for s in problem.shapes]
+    polygons = [n for n in sides if n is not None]
+    return face_stationary(problem, sides.index(min(polygons)) if polygons else 0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from operator import attrgetter
 
@@ -165,14 +166,29 @@ def face_problems(draw):
     return PartitionProblem(length, tuple(shapes))
 
 
+def count_rule_face(shapes):
+    """The face the side counts pick: the first smallest count, or piece 0
+    where every shape is a circle."""
+    return min(range(len(shapes)), key=lambda i: (shapes[i].is_circle, shapes[i].sides or 0))
+
+
 @given(face_problems())
 @settings(max_examples=400, deadline=None)
 def test_paper_face_max_matches_full_face_scan(problem):
-    assert paper_face_max(problem) == reference_face_max(problem)
+    """The count rule's face, solved once; its total is within rounding of
+    the best float total over all k faces. A float total is a sum of k
+    weights, a scale, k products, k areas and a sum of k areas, each weight
+    a few ulps from its exact value."""
+    chosen = paper_face_max(problem)
+    pinned = count_rule_face(problem.shapes)
+    assert repr(chosen) == repr(face_stationary(problem, pinned))
+    best = reference_face_max(problem).total_area
+    tol = (4 * len(problem.shapes) + 8) * 2.0**-52
+    assert chosen.total_area >= best - tol * best
 
 
-@pytest.mark.parametrize("shapes, scored", [((3, 4, 6, "circle"), 1), ((5, 3, 3, 4), 2)])
-def test_paper_face_max_scores_only_near_tied_faces(monkeypatch, shapes, scored):
+@pytest.mark.parametrize("shapes", [(3, 4, 6, "circle"), (5, 3, 3, 4), (10**6, 10**6 + 1, 10**7)])
+def test_paper_face_max_solves_one_face(monkeypatch, shapes):
     calls = []
 
     def counting(problem, excluded_index):
@@ -181,15 +197,55 @@ def test_paper_face_max_scores_only_near_tied_faces(monkeypatch, shapes, scored)
 
     monkeypatch.setattr(wirecut.extrema, "face_stationary", counting)
     problem = PartitionProblem(10.0, shapes)
-    assert paper_face_max(problem) == reference_face_max(problem)
-    assert len(calls) == scored
+    assert paper_face_max(problem) == face_stationary(problem, count_rule_face(problem.shapes))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("length", [1e-200, 1.0, 1e150])
 def test_paper_face_max_pins_heaviest_shape_at_any_scale(length):
     """At 1e-200 every face total is 0.0 and at 1e150 about 3.5e298, yet the
-    face stays the one the weights pick at every scale a float total holds."""
+    face stays the one the side counts pick at every scale a float total holds."""
     assert paper_face_max(PartitionProblem(length, (4, "circle", 3))).excluded_index == 2
+
+
+@pytest.mark.parametrize("shapes, winner", [((5828600, 5828599), 0), ((10**9, "circle"), 1)])
+def test_maximize_decides_the_vertex_by_side_count(shapes, winner):
+    """Float sigma puts the 5,828,599-gon below the 5,828,600-gon, and rounds
+    the 10**9-gon's to pi; the side counts still pick the larger count and
+    the circle."""
+    problem = PartitionProblem(1, shapes)
+    result = maximize_partition(problem)
+    lengths = [0.0, 0.0]
+    lengths[winner] = 1.0
+    assert result.lengths == tuple(lengths)
+    assert result.total_area == area(problem.shapes[winner], 1.0)
+
+
+def count_rule_vertex(shapes):
+    """The vertex the side counts pick: the first circle, else the first
+    largest count."""
+    return min(range(len(shapes)), key=lambda i: (not shapes[i].is_circle, -(shapes[i].sides or 0)))
+
+
+@st.composite
+def vertex_problems(draw):
+    pool = st.one_of(st.sampled_from(FACE_POOL + [5828599, 5828600, 10**9]), st.integers(3, 10**9))
+    shapes = draw(st.lists(pool, min_size=2, max_size=10))
+    return PartitionProblem(10.0 ** draw(st.floats(-200.0, 200.0)), tuple(shapes))
+
+
+@given(vertex_problems())
+@settings(max_examples=400, deadline=None)
+def test_maximize_takes_the_count_rule_vertex_with_the_bits_of_split(problem):
+    vertex = [0.0] * len(problem.shapes)
+    vertex[count_rule_vertex(problem.shapes)] = 1.0
+    try:
+        expected = wirecut.extrema._split(VERTEX_MAXIMUM, problem, vertex)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            maximize_partition(problem)
+    else:
+        assert repr(maximize_partition(problem)) == repr(expected)
 
 
 def test_lengths_sum_and_area_consistency():

@@ -100,6 +100,14 @@ def test_minimum_above_the_true_one_fails_its_check(monkeypatch, shapes):
     assert [check.ok for check in checks] == [False, True], checks
 
 
+@pytest.mark.parametrize("shapes", [(5828600, 5828599), (10**9, "circle")])
+def test_count_rule_vertex_passes_the_lattice_check(shapes):
+    """The lattice's float maximum may sit an ulp from the vertex the side
+    counts pick, far inside the check's 1e-9 bound."""
+    checks = cross_check(PartitionProblem(1, shapes))
+    assert [check.ok for check in checks] == [True, True]
+
+
 def test_cross_check_rejects_other_types():
     with pytest.raises(TypeError, match="cannot cross-check a int"):
         cross_check(42)
